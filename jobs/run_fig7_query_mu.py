@@ -5,7 +5,7 @@ Usage: spark-submit jobs/run_fig7_query_mu.py [dataset ...]
 import sys
 
 from repro.experiments.exp_query import run_sweep
-from repro.experiments.harness import format_markdown, format_table, get_session
+from repro.experiments.harness import format_table, get_session
 
 
 def main() -> None:
@@ -13,8 +13,6 @@ def main() -> None:
     names = tuple(sys.argv[1:]) or ("orkut_lite", "brain_lite")
     rows = run_sweep(spark, names, sweep="mu")
     print(format_table(rows, "Figure 7: clustering time, eps=0.6, varying mu"))
-    print()
-    print(format_markdown(rows))
 
 
 if __name__ == "__main__":

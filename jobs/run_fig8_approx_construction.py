@@ -5,7 +5,7 @@ Usage: spark-submit jobs/run_fig8_approx_construction.py [dataset ...]
 import sys
 
 from repro.experiments.exp_approx_construction import run
-from repro.experiments.harness import format_markdown, format_table, get_session
+from repro.experiments.harness import format_table, get_session
 
 
 def main() -> None:
@@ -13,8 +13,6 @@ def main() -> None:
     names = sys.argv[1:] or None
     rows = run(spark, names)
     print(format_table(rows, "Figure 8: approximate index construction time"))
-    print()
-    print(format_markdown(rows))
 
 
 if __name__ == "__main__":

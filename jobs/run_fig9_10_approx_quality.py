@@ -9,7 +9,7 @@ Usage: spark-submit jobs/run_fig9_10_approx_quality.py [dataset ...]
 import sys
 
 from repro.experiments.exp_approx_quality import run
-from repro.experiments.harness import format_markdown, format_table, get_session
+from repro.experiments.harness import format_table, get_session
 
 
 def main() -> None:
@@ -17,8 +17,6 @@ def main() -> None:
     names = tuple(sys.argv[1:]) or None
     rows = run(spark, names) if names else run(spark)
     print(format_table(rows, "Figures 9/10: approximate clustering quality"))
-    print()
-    print(format_markdown(rows))
 
 
 if __name__ == "__main__":

@@ -3,15 +3,13 @@
 Usage: spark-submit jobs/run_table2.py   (or plain `python`)
 """
 from repro.experiments.datasets import table2_rows
-from repro.experiments.harness import format_markdown, format_table, get_session
+from repro.experiments.harness import format_table, get_session
 
 
 def main() -> None:
     spark = get_session("table2")
     rows = table2_rows(spark)
     print(format_table(rows, "Table 2 (lite): graph suite"))
-    print()
-    print(format_markdown(rows))
 
 
 if __name__ == "__main__":

@@ -8,8 +8,7 @@ Subpackages:
 - ``repro.core``      — the paper's contribution: exact and approximate
   SCAN index construction and cluster queries.
 - ``repro.lsh``       — locality-sensitive hashing (SimHash, MinHash).
-- ``repro.cc``        — connected components (distributed label
-  propagation and driver-side union-find).
+- ``repro.cc``        — connected components (driver-side union-find).
 - ``repro.baselines`` — sequential GS*-Index reference and a
   ppSCAN-style per-query SCAN baseline.
 - ``repro.quality``   — modularity and adjusted Rand index.

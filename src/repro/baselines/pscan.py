@@ -50,7 +50,6 @@ def pscan_query(
     mu: int,
     eps: float,
     measure: str = "cosine",
-    cc_mode: str = "auto",
 ) -> ClusteringResult:
     """One SCAN clustering computed from scratch with pruning."""
     if mu < 2:
@@ -79,7 +78,7 @@ def pscan_query(
         .select("v")
     )
     sim_from_cores = sym.join(cores.withColumnRenamed("v", "u"), "u")
-    result = assemble_clustering(cores, sim_from_cores, mu, eps, cc_mode)
+    result = assemble_clustering(cores, sim_from_cores, mu, eps)
     # Force evaluation inside the timed call, then release the scratch
     # similar-edge cache.
     result.assignments = result.assignments.persist()

@@ -1,12 +1,10 @@
-"""Connected-components substrate for cluster queries.
+"""Connected components for cluster queries.
 
 The paper's theory uses Gazit's O(log n)-span connectivity; its
-implementation uses concurrent union-find (§6.2). We provide both
-flavors: a distributed min-label-propagation algorithm over DataFrames
-(scalable path) and a driver-side union-find (fast path for the small
-core subgraphs queries produce — mirroring the paper's own choice).
+implementation uses union-find (§6.2). So does this repo: a query's
+core subgraph is output-sized (Theorem 4.3), so it is collected and
+its components are found with union-find on the driver.
 """
-from repro.cc.label_prop import connected_components_df
 from repro.cc.union_find import UnionFind, components_from_edges
 
-__all__ = ["connected_components_df", "UnionFind", "components_from_edges"]
+__all__ = ["UnionFind", "components_from_edges"]

@@ -1,8 +1,7 @@
 """Approximate SCAN index construction via LSH (paper §5, §6.3).
 
 Similarity measure → scheme: (weighted) cosine → SimHash; Jaccard →
-MinHash (k-partition by default, like the paper's implementation;
-``minhash_variant="standard"`` selects the Theorem-5.3 variant).
+k-partition MinHash, like the paper's implementation.
 
 The §6.3 degree heuristic: approximating a low-degree pair is slower
 *and* less accurate than intersecting its neighbor lists, so only edges
@@ -45,7 +44,6 @@ def approx_edge_similarities(
     k: int,
     measure: str = "cosine",
     seed: int = 0,
-    minhash_variant: str = "oph",
     use_degree_heuristic: bool = True,
 ) -> tuple[DataFrame, ApproxStats]:
     """(u, v, w, sim) per edge with LSH-approximated similarities."""
@@ -71,8 +69,8 @@ def approx_edge_similarities(
             .distinct()
         )
         if measure == "jaccard":
-            sk = minhash_sketches(g, k, seed, variant=minhash_variant, scope=scope)
-            est = minhash_edge_similarities(approx_edges, sk, k, variant=minhash_variant)
+            sk = minhash_sketches(g, k, seed, scope=scope)
+            est = minhash_edge_similarities(approx_edges, sk, k)
         else:  # cosine / wcosine — SimHash handles weights natively
             sk = simhash_sketches(g, k, seed, scope=scope)
             est = simhash_edge_similarities(approx_edges, sk, k)
@@ -97,7 +95,6 @@ def build_approx_index(
     k: int,
     measure: str = "cosine",
     seed: int = 0,
-    minhash_variant: str = "oph",
     use_degree_heuristic: bool = True,
 ) -> tuple[SCANIndex, ApproxStats]:
     """Construct a SCAN index from LSH-approximate similarities.
@@ -105,7 +102,5 @@ def build_approx_index(
     Queries against the returned index are *identical in cost* to exact
     queries — only construction (what Figures 8–10 measure) changes.
     """
-    sims, stats = approx_edge_similarities(
-        g, k, measure, seed, minhash_variant, use_degree_heuristic
-    )
+    sims, stats = approx_edge_similarities(g, k, measure, seed, use_degree_heuristic)
     return build_index(g, measure, similarities=sims), stats

@@ -12,11 +12,12 @@ Core order ``CO[mu]`` lists every vertex with closed degree ≥ mu along
 with its *core threshold* — its similarity with NO[v][mu] — sorted
 descending. Because NO[v][mu] exists exactly when closed degree ≥ mu,
 CO is precisely a re-keying of NO: row (v, x, sim, rank=mu) of NO is
-row (mu, v, threshold=sim) of CO. Both structures are O(m).
+row (mu, v, threshold=sim) of CO. So only NO is stored (O(m) rows);
+CO is a column projection of it, derived on read.
 
-The index persists as two Parquet datasets so construction (expensive)
-is paid once and queries (cheap) are paid per (mu, eps) — the paper's
-whole point.
+The index saves as one Parquet dataset plus a small metadata file, so
+construction (expensive) is paid once and queries (cheap) are paid per
+(mu, eps) — the paper's whole point.
 """
 from __future__ import annotations
 
@@ -36,9 +37,17 @@ class SCANIndex:
     """Materialized SCAN index for one graph + similarity measure."""
 
     neighbor_order: DataFrame  # (u, v, sim, rank) — rank >= 2, self implicit
-    core_order: DataFrame      # (mu, v, threshold) — mu >= 2
     num_vertices: int
     measure: str
+
+    @property
+    def core_order(self) -> DataFrame:
+        """CO as a view of NO: (mu, v, threshold) — mu >= 2."""
+        return self.neighbor_order.select(
+            F.col("rank").alias("mu"),
+            F.col("u").alias("v"),
+            F.col("sim").alias("threshold"),
+        )
 
     @property
     def spark(self) -> SparkSession:
@@ -50,25 +59,19 @@ class SCANIndex:
         return int(row["m"]) if row["m"] is not None else 1
 
     def persist(self) -> "SCANIndex":
-        """Cache both orders and force evaluation (ends "construction")."""
+        """Cache NO and force evaluation (ends "construction")."""
         self.neighbor_order = self.neighbor_order.persist()
-        self.core_order = self.core_order.persist()
         self.neighbor_order.count()
-        self.core_order.count()
         return self
 
     def unpersist(self) -> None:
         self.neighbor_order.unpersist()
-        self.core_order.unpersist()
 
     # -- filesystem persistence (the "index" artifact) ----------------
 
     def save(self, path: str) -> None:
         self.neighbor_order.write.mode("overwrite").parquet(
             os.path.join(path, "neighbor_order")
-        )
-        self.core_order.write.mode("overwrite").parquet(
-            os.path.join(path, "core_order")
         )
         with open(os.path.join(path, "meta.json"), "w") as f:
             json.dump(
@@ -81,7 +84,6 @@ class SCANIndex:
             meta = json.load(f)
         return SCANIndex(
             neighbor_order=spark.read.parquet(os.path.join(path, "neighbor_order")),
-            core_order=spark.read.parquet(os.path.join(path, "core_order")),
             num_vertices=meta["num_vertices"],
             measure=meta["measure"],
         )
@@ -105,15 +107,6 @@ def neighbor_order_from_similarities(similarities: DataFrame) -> DataFrame:
     return sym.withColumn("rank", F.row_number().over(win) + F.lit(1))
 
 
-def core_order_from_neighbor_order(neighbor_order: DataFrame) -> DataFrame:
-    """Re-key NO rows as CO rows: (mu, v, threshold)."""
-    return neighbor_order.select(
-        F.col("rank").alias("mu"),
-        F.col("u").alias("v"),
-        F.col("sim").alias("threshold"),
-    )
-
-
 def build_index(
     g: UndirectedGraph,
     measure: str = "cosine",
@@ -127,5 +120,4 @@ def build_index(
     if similarities is None:
         similarities = edge_similarities(g, measure)
     no = neighbor_order_from_similarities(similarities)
-    co = core_order_from_neighbor_order(no)
-    return SCANIndex(no, co, g.num_vertices, measure)
+    return SCANIndex(no, g.num_vertices, measure)

@@ -3,31 +3,25 @@
 A query (mu, eps) does no similarity computation: cores are a threshold
 filter on CO[mu], eps-similar edges a threshold filter on NO prefixes
 (the paper's doubling searches — on DataFrames a predicate filter is
-the data-parallel prefix extraction), connectivity runs on the induced
-core subgraph, and border non-cores attach to a neighboring eps-similar
-core. Border assignment is the deterministic variant the paper uses for
-its quality measurements (§7.3.4): most similar core, ties to the
-lower core id. Cluster ids are canonical: the minimum core id in the
-component.
+the data-parallel prefix extraction). The output-sized cores and
+eps-similar edges are then collected, connectivity runs on the induced
+core subgraph with driver-side union-find (as in the paper's own
+implementation, §6.2), and border non-cores attach to a neighboring
+eps-similar core. Border assignment is the deterministic variant the
+paper uses for its quality measurements (§7.3.4): most similar core,
+ties to the lower core id. Cluster ids are canonical: the minimum core
+id in the component.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import pandas as pd
-from pyspark.sql import DataFrame, Window
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.cc.label_prop import connected_components_df
 from repro.cc.union_find import components_from_edges
 from repro.core.index import SCANIndex
-
-#: Below this many cores the query collects the eps-similar edge set
-#: (whose size is bounded by the output size, Theorem 4.3) and finishes
-#: on the driver with union-find — mirroring the paper's own
-#: implementation, which swaps the theoretical connectivity algorithm
-#: for union-find over an n-length array (§6.2).
-DRIVER_CC_MAX_CORES = 200_000
 
 
 @dataclass
@@ -93,15 +87,24 @@ def similar_edges_from_cores(
     )
 
 
-def _assemble_on_driver(
-    spark, cores_pdf: pd.DataFrame, sim_pdf: pd.DataFrame, mu: int, eps: float
+def assemble_clustering(
+    cores: DataFrame, sim: DataFrame, mu: int, eps: float
 ) -> ClusteringResult:
-    """Finish the query on the driver (paper §6.2's union-find path).
+    """Clusters from precomputed cores + directed similar edges.
 
-    ``sim_pdf`` is the collected eps-similar edge set out of cores —
-    by Theorem 4.3 its size is bounded by the output clusters, so one
-    collect is the whole data movement of the query.
+    ``cores``: (v); ``sim``: (u, v, sim) where u is a core and sigma(u,
+    v) >= eps (both directions present for core-core pairs). Shared by
+    the index query and the ppSCAN-style per-query baseline — the two
+    differ only in how cores/similar edges are obtained.
+
+    Both inputs are collected and the query finishes on the driver
+    with union-find (paper §6.2). By Theorem 4.3 the eps-similar edge
+    set out of cores is bounded by the output clusters, so the collect
+    is the whole data movement of the query.
     """
+    spark = cores.sparkSession
+    cores_pdf = cores.toPandas()
+    sim_pdf = sim.toPandas()
     core_ids = cores_pdf["v"].astype("int64")
     core_set = set(core_ids.tolist())
     cc = sim_pdf[sim_pdf["v"].isin(core_set) & (sim_pdf["u"] < sim_pdf["v"])]
@@ -131,66 +134,8 @@ def _assemble_on_driver(
     return ClusteringResult(assignments=assignments, mu=mu, eps=eps)
 
 
-def assemble_clustering(
-    cores: DataFrame, sim: DataFrame, mu: int, eps: float, cc_mode: str = "auto"
-) -> ClusteringResult:
-    """Clusters from precomputed cores + directed similar edges.
-
-    ``cores``: (v); ``sim``: (u, v, sim) where u is a core and sigma(u,
-    v) >= eps (both directions present for core-core pairs). Shared by
-    the index query and the ppSCAN-style per-query baseline — the two
-    differ only in how cores/similar edges are obtained.
-
-    ``cc_mode="driver"`` (or "auto" below :data:`DRIVER_CC_MAX_CORES`)
-    collects the output-sized similar-edge set in one action and
-    finishes with union-find on the driver — the paper's §6.2 strategy,
-    and on a local-mode cluster by far the fastest: the alternative
-    pays a full Spark job per intermediate (core-core edges, component
-    labels, border ranks). "distributed" keeps everything in
-    DataFrames with label-propagation connectivity.
-    """
-    spark = cores.sparkSession
-    if cc_mode in ("auto", "driver"):
-        cores_pdf = cores.toPandas()
-        if cc_mode == "driver" or len(cores_pdf) <= DRIVER_CC_MAX_CORES:
-            return _assemble_on_driver(spark, cores_pdf, sim.toPandas(), mu, eps)
-
-    # -- distributed path ---------------------------------------------
-    sim = sim.persist()
-    core_core = (
-        sim.join(F.broadcast(cores), "v")
-        .where(F.col("u") < F.col("v"))
-        .select("u", "v")
-    )
-    core_labels = connected_components_df(core_core, cores)
-    borders = sim.join(F.broadcast(cores), "v", "left_anti")
-    borders = borders.join(
-        F.broadcast(core_labels.withColumnRenamed("v", "u")), "u"
-    ).select("v", "cluster", "sim", F.col("u").alias("core"))
-    pick = Window.partitionBy("v").orderBy(
-        F.col("sim").desc(), F.col("core").asc()
-    )
-    border_assign = (
-        borders.withColumn("rn", F.row_number().over(pick))
-        .where(F.col("rn") == 1)
-        .select("v", "cluster")
-    )
-    assignments = core_labels.select(
-        "v", "cluster", F.lit(True).alias("is_core")
-    ).unionByName(
-        border_assign.select("v", "cluster", F.lit(False).alias("is_core"))
-    )
-    return ClusteringResult(assignments=assignments, mu=mu, eps=eps)
-
-
-def query_clusters(
-    index: SCANIndex, mu: int, eps: float, cc_mode: str = "auto"
-) -> ClusteringResult:
-    """Retrieve the SCAN clustering for (mu, eps) (Algorithm 5).
-
-    ``cc_mode``: "driver" (union-find on the driver), "distributed"
-    (label propagation), or "auto" (size-based choice).
-    """
+def query_clusters(index: SCANIndex, mu: int, eps: float) -> ClusteringResult:
+    """Retrieve the SCAN clustering for (mu, eps) (Algorithm 5)."""
     cores = get_cores(index, mu, eps)
     sim = similar_edges_from_cores(index, cores, eps)
-    return assemble_clustering(cores, sim, mu, eps, cc_mode)
+    return assemble_clustering(cores, sim, mu, eps)

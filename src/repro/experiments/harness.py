@@ -27,38 +27,12 @@ def timed(fn: Callable[[], Any]) -> tuple[Any, float]:
 
 
 def format_table(rows: list[dict], title: str = "") -> str:
-    """Fixed-width text table of row dicts (union of keys, in order)."""
+    """Markdown table of row dicts (union of keys, in order), under an
+    optional title line."""
+    head = [title, ""] if title else []
     if not rows:
-        return f"{title}\n(no rows)"
-    cols: list[str] = []
-    for r in rows:
-        for c in r:
-            if c not in cols:
-                cols.append(c)
-    def fmt(x):
-        if isinstance(x, float):
-            return f"{x:.4g}"
-        return "" if x is None else str(x)
-    widths = {c: max(len(c), *(len(fmt(r.get(c))) for r in rows)) for c in cols}
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append("  ".join(c.ljust(widths[c]) for c in cols))
-    lines.append("  ".join("-" * widths[c] for c in cols))
-    for r in rows:
-        lines.append("  ".join(fmt(r.get(c)).ljust(widths[c]) for c in cols))
-    return "\n".join(lines)
-
-
-def format_markdown(rows: list[dict]) -> str:
-    """GitHub-markdown table of row dicts — pasted into EXPERIMENTS.md."""
-    if not rows:
-        return "(no rows)"
-    cols: list[str] = []
-    for r in rows:
-        for c in r:
-            if c not in cols:
-                cols.append(c)
+        return "\n".join(head + ["(no rows)"])
+    cols = list(dict.fromkeys(c for r in rows for c in r))
     def fmt(x):
         if isinstance(x, float):
             return f"{x:.4g}"
@@ -66,4 +40,4 @@ def format_markdown(rows: list[dict]) -> str:
     out = ["| " + " | ".join(cols) + " |", "|" + "|".join("---" for _ in cols) + "|"]
     for r in rows:
         out.append("| " + " | ".join(fmt(r.get(c)) for c in cols) + " |")
-    return "\n".join(out)
+    return "\n".join(head + out)

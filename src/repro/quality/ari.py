@@ -11,10 +11,7 @@ clustered *and* wrongly unclustered vertices.
 """
 from __future__ import annotations
 
-import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 
 def _comb2(x):
@@ -32,35 +29,10 @@ def _ari_from_sums(sum_nij2: float, sum_a2: float, sum_b2: float, n: int) -> flo
     return (sum_nij2 - expected) / (max_index - expected)
 
 
-def adjusted_rand_index(labels_a: DataFrame, labels_b: DataFrame) -> float:
-    """ARI of two total Spark labelings (v, cluster)."""
-    a = labels_a.select("v", F.col("cluster").alias("ca"))
-    b = labels_b.select("v", F.col("cluster").alias("cb"))
-    joined = a.join(b, "v")
-    n = joined.count()
-    cells = joined.groupBy("ca", "cb").agg(F.count("*").alias("nij"))
-    sum_nij2 = cells.agg(
-        F.sum(F.col("nij") * (F.col("nij") - 1) / 2).alias("s")
-    ).collect()[0]["s"]
-    sum_a2 = (
-        joined.groupBy("ca").agg(F.count("*").alias("na"))
-        .agg(F.sum(F.col("na") * (F.col("na") - 1) / 2).alias("s"))
-        .collect()[0]["s"]
-    )
-    sum_b2 = (
-        joined.groupBy("cb").agg(F.count("*").alias("nb"))
-        .agg(F.sum(F.col("nb") * (F.col("nb") - 1) / 2).alias("s"))
-        .collect()[0]["s"]
-    )
-    return _ari_from_sums(
-        float(sum_nij2 or 0), float(sum_a2 or 0), float(sum_b2 or 0), n
-    )
-
-
 def adjusted_rand_index_pandas(
     labels_a: dict[int, int], labels_b: dict[int, int]
 ) -> float:
-    """Fast driver-side ARI over two total {vertex: cluster} maps."""
+    """ARI of two total {vertex: cluster} maps."""
     if set(labels_a) != set(labels_b):
         raise ValueError("labelings must cover the same vertex set")
     df = pd.DataFrame(

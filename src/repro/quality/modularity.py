@@ -9,59 +9,23 @@ clusters, exactly as the paper does for its Figure 9 measurements
 (§7.3.4); a singleton's W_in is 0 (simple graphs have no self-loops) so
 it contributes only its −(deg/(2W))² term.
 
-Two implementations: a Spark one (aggregations over the edge and label
-DataFrames) and a numpy/pandas one (for the dense (mu, eps) parameter
-sweeps of the Figure 9/10 experiments, where thousands of evaluations
-on a driver-resident graph are needed).
+Computed with numpy/pandas on the driver: the Figure 9/10 experiments
+sweep a dense (mu, eps) grid, so a driver-resident graph is scored
+thousands of times.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
-
-from repro.graph.graphframe import UndirectedGraph
-
-
-def modularity(g: UndirectedGraph, labels: DataFrame) -> float:
-    """Modularity of a *total* labeling (v, cluster) over all vertices.
-
-    Use :meth:`repro.core.query.ClusteringResult.full_labels` to get a
-    total labeling with unclustered vertices as singletons.
-    """
-    lab = labels.select("v", "cluster")
-    e = (
-        g.edges.join(lab.withColumnRenamed("v", "u").withColumnRenamed("cluster", "cu"), "u")
-        .join(lab.withColumnRenamed("cluster", "cv"), "v")
-    )
-    tot = e.agg(
-        F.sum("w").alias("W"),
-        F.sum(F.when(F.col("cu") == F.col("cv"), F.col("w")).otherwise(0.0)).alias(
-            "Win"
-        ),
-    ).collect()[0]
-    W, Win = float(tot["W"] or 0.0), float(tot["Win"] or 0.0)
-    if W == 0.0:
-        return 0.0
-    wdeg = (
-        g.adjacency()
-        .groupBy(F.col("u").alias("v"))
-        .agg(F.sum("w").alias("wd"))
-        .join(lab, "v")
-        .groupBy("cluster")
-        .agg(F.sum("wd").alias("S"))
-    )
-    sq = wdeg.agg(F.sum(F.col("S") * F.col("S")).alias("ss")).collect()[0]["ss"]
-    return Win / W - float(sq or 0.0) / (4.0 * W * W)
 
 
 def modularity_pandas(edges: pd.DataFrame, labels: dict[int, int]) -> float:
-    """Fast driver-side modularity; same semantics as :func:`modularity`.
+    """Modularity of a *total* labeling over all vertices.
 
     ``edges``: canonical (u, v[, w]) pandas frame; ``labels``: total
     {vertex: cluster} map (callers put unclustered vertices in their
-    own singleton clusters, e.g. label = vertex id).
+    own singleton clusters, e.g. label = vertex id —
+    :meth:`repro.core.query.ClusteringResult.full_labels` does this).
     """
     if edges.empty:
         return 0.0

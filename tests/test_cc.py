@@ -1,9 +1,8 @@
-"""Connected components: distributed label propagation vs union-find
-vs the DuckDB recursive-CTE oracle."""
+"""Connected components: driver-side union-find vs the DuckDB
+recursive-CTE oracle."""
 import pandas as pd
 import pytest
 
-from repro.cc.label_prop import connected_components_df
 from repro.cc.union_find import components_from_edges
 from repro.graph import generators as gen
 from repro.oracle import assert_equivalent
@@ -28,12 +27,6 @@ CASES = [
 
 
 @pytest.mark.parametrize("name,edges,n", CASES, ids=[c[0] for c in CASES])
-def test_label_prop_matches_duckdb(spark, name, edges, n):
-    e, v = _to_spark(spark, edges, n)
-    assert_equivalent(connected_components_df(e, v), COMPONENTS, edges=e, verts=v)
-
-
-@pytest.mark.parametrize("name,edges,n", CASES, ids=[c[0] for c in CASES])
 def test_union_find_matches_duckdb_cases(spark, name, edges, n):
     got = components_from_edges(edges, range(1, n + 1))
     e, v = _to_spark(spark, edges, n)
@@ -51,25 +44,14 @@ def test_union_find_matches_duckdb_cases(spark, name, edges, n):
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_label_prop_vs_union_find_random(spark, seed):
-    pdf = gen.gnp_edges_pandas(50, 0.05, seed)
-    e = spark.createDataFrame(pdf[["u", "v"]])
-    v = spark.createDataFrame(pd.DataFrame({"v": range(1, 51)}))
-    got = dict(
-        connected_components_df(e, v).toPandas().itertuples(index=False)
+def test_union_find_vs_duckdb_random(spark, seed):
+    edges = gen.gnp_edges_pandas(50, 0.05, seed)[["u", "v"]]
+    got = components_from_edges(list(map(tuple, edges.to_numpy())), range(1, 51))
+    labels = spark.createDataFrame(
+        pd.DataFrame(sorted(got.items()), columns=["v", "cluster"])
     )
-    expect = components_from_edges(
-        list(map(tuple, pdf[["u", "v"]].to_numpy())), range(1, 51)
-    )
-    assert got == expect
-
-
-def test_label_prop_labels_are_component_minimum(spark):
-    e, v = _to_spark(spark, [(5, 9), (9, 2), (7, 8)], 9)
-    got = dict(connected_components_df(e, v).toPandas().itertuples(index=False))
-    assert got[5] == got[9] == got[2] == 2
-    assert got[7] == got[8] == 7
-    assert got[1] == 1
+    verts = pd.DataFrame({"v": range(1, 51)})
+    assert_equivalent(labels, COMPONENTS, edges=edges, verts=verts)
 
 
 def test_union_find_canonical_min_labels():

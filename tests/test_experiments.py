@@ -7,7 +7,7 @@ from repro.experiments.exp_approx_construction import run as run_fig8
 from repro.experiments.exp_approx_quality import run as run_fig9_10
 from repro.experiments.exp_index_construction import run as run_fig5
 from repro.experiments.exp_query import run_sweep
-from repro.experiments.harness import format_markdown, format_table, timed
+from repro.experiments.harness import format_table, timed
 from repro.graph import generators as gen
 
 
@@ -68,16 +68,15 @@ def test_timed_returns_result_and_positive_time():
 
 def test_format_table_and_markdown():
     rows = [{"a": 1, "b": 0.123456}, {"a": 2, "c": "x"}]
-    txt = format_table(rows, "T")
-    assert "T" in txt and "a" in txt and "c" in txt
-    md = format_markdown(rows)
-    assert md.startswith("| a | b | c |")
-    assert "0.1235" in md
+    md = format_table(rows, "T")
+    assert md.startswith("T\n\n| a | b | c |\n|---|---|---|\n")
+    assert "| 1 | 0.1235 |  |" in md
+    assert "| 2 |  | x |" in md
 
 
 def test_format_empty():
     assert "(no rows)" in format_table([], "x")
-    assert format_markdown([]) == "(no rows)"
+    assert format_table([]) == "(no rows)"
 
 
 def test_fig5_smoke(spark, mini_registry):

@@ -1,9 +1,12 @@
 """Neighbor-order / core-order construction and persistence."""
+import dataclasses
+
 import pytest
 from pyspark.sql import functions as F
 
 from repro.baselines.gs_index_seq import SequentialGSIndex
 from repro.core.index import SCANIndex, build_index
+from repro.core.query import query_clusters
 
 
 def test_neighbor_order_ranks_start_at_two(fig1_index):
@@ -85,6 +88,29 @@ def test_save_load_roundtrip(fig1_index, tmp_path, spark):
     a = fig1_index.neighbor_order.toPandas().sort_values(["u", "rank"]).reset_index(drop=True)
     b = loaded.neighbor_order.toPandas().sort_values(["u", "rank"]).reset_index(drop=True)
     assert a.equals(b)
+
+
+def test_neighbor_order_is_the_only_stored_frame():
+    frames = [f.name for f in dataclasses.fields(SCANIndex) if f.type == "DataFrame"]
+    assert frames == ["neighbor_order"]
+
+
+def test_saved_index_derives_core_order(sbm_small_index, tmp_path, spark):
+    """A saved index holds NO and its metadata only; after loading, CO
+    (a view of NO) and query results equal the built index's."""
+    path = tmp_path / "idx"
+    sbm_small_index.save(str(path))
+    assert sorted(p.name for p in path.iterdir()) == ["meta.json", "neighbor_order"]
+    loaded = SCANIndex.load(spark, str(path))
+
+    def co(idx):
+        pdf = idx.core_order.toPandas()
+        return pdf.sort_values(["mu", "v"]).reset_index(drop=True)
+
+    assert co(loaded).equals(co(sbm_small_index))
+    for mu, eps in ((2, 0.3), (3, 0.5), (5, 0.6)):
+        got = query_clusters(loaded, mu, eps).labels_pandas()
+        assert got == query_clusters(sbm_small_index, mu, eps).labels_pandas()
 
 
 def test_build_with_given_similarities(fig1, spark):

@@ -1,15 +1,7 @@
-"""Adjusted Rand index: hand-computed values, invariances, and the
-Spark/pandas agreement."""
-import pandas as pd
+"""Adjusted Rand index: hand-computed values and invariances."""
 import pytest
 
-from repro.quality.ari import adjusted_rand_index, adjusted_rand_index_pandas
-
-
-def _df(spark, labels):
-    return spark.createDataFrame(
-        pd.DataFrame({"v": list(labels), "cluster": list(labels.values())})
-    )
+from repro.quality.ari import adjusted_rand_index_pandas
 
 
 def test_identical_clusterings_score_one():
@@ -72,18 +64,6 @@ def test_all_singletons_vs_all_one_cluster():
     b = {i: 0 for i in range(1, 6)}
     # degenerate pair: both trivial indices; standard convention -> 0
     assert adjusted_rand_index_pandas(a, b) == pytest.approx(0.0)
-
-
-def test_spark_equals_pandas(spark):
-    a = {1: 1, 2: 1, 3: 2, 4: 2, 5: 2, 6: 3}
-    b = {1: 1, 2: 1, 3: 1, 4: 2, 5: 2, 6: 2}
-    got = adjusted_rand_index(_df(spark, a), _df(spark, b))
-    assert got == pytest.approx(adjusted_rand_index_pandas(a, b))
-
-
-def test_spark_identical_is_one(spark):
-    a = {1: 1, 2: 1, 3: 2, 4: 2}
-    assert adjusted_rand_index(_df(spark, a), _df(spark, a)) == pytest.approx(1.0)
 
 
 def test_mismatched_vertex_sets_rejected():

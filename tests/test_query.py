@@ -61,13 +61,6 @@ def test_mu_below_two_raises(fig1_index):
         query_clusters(fig1_index, 1, 0.5)
 
 
-@pytest.mark.parametrize("cc_mode", ["driver", "distributed"])
-def test_cc_modes_agree(sbm_small_index, cc_mode):
-    a = query_clusters(sbm_small_index, 4, 0.4, cc_mode=cc_mode).labels_pandas()
-    b = query_clusters(sbm_small_index, 4, 0.4, cc_mode="auto").labels_pandas()
-    assert a == b
-
-
 def _seq_for(g, measure="cosine"):
     return SequentialGSIndex(g.to_pandas(), g.num_vertices, measure).build()
 
