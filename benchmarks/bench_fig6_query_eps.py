@@ -21,8 +21,7 @@ def test_index_query_spark(benchmark, spark_indices, name, eps):
     idx = spark_indices[name]
 
     def q():
-        res = query_clusters(idx, MU, eps)
-        return res.assignments.count()
+        return len(query_clusters(idx, MU, eps).labels_pandas())
 
     benchmark.pedantic(q, rounds=2, iterations=1)
 
@@ -34,10 +33,7 @@ def test_ppscan_per_query_spark(benchmark, graphs, name, eps):
     measure = datasets.measure_for(name)
 
     def q():
-        res = pscan_query(g, MU, eps, measure)
-        n = res.assignments.count()
-        res.assignments.unpersist()
-        return n
+        return len(pscan_query(g, MU, eps, measure).labels_pandas())
 
     benchmark.pedantic(q, rounds=2, iterations=1)
 

@@ -16,7 +16,7 @@ def test_index_query_spark(benchmark, spark_indices, name, mu):
     idx = spark_indices[name]
 
     def q():
-        return query_clusters(idx, mu, EPS).assignments.count()
+        return len(query_clusters(idx, mu, EPS).labels_pandas())
 
     benchmark.pedantic(q, rounds=2, iterations=1)
 
@@ -28,10 +28,7 @@ def test_ppscan_per_query_spark(benchmark, graphs, name, mu):
     measure = datasets.measure_for(name)
 
     def q():
-        res = pscan_query(g, mu, EPS, measure)
-        n = res.assignments.count()
-        res.assignments.unpersist()
-        return n
+        return len(pscan_query(g, mu, EPS, measure).labels_pandas())
 
     benchmark.pedantic(q, rounds=2, iterations=1)
 

@@ -77,11 +77,14 @@ def pscan_query(
         .where(F.col("k") >= mu - 1)
         .select("v")
     )
-    sim_from_cores = sym.join(cores.withColumnRenamed("v", "u"), "u")
+    # Cores are broadcast, as in the index query: with a shuffle join,
+    # a query with no cores finishes early while the abandoned shuffle
+    # of sym keeps running into the caller's next job.
+    sim_from_cores = sym.join(
+        F.broadcast(cores.withColumnRenamed("v", "u")), "u", "left_semi"
+    )
+    # assemble_clustering collects inside the timed call; the scratch
+    # similar-edge cache is free to go once it returns.
     result = assemble_clustering(cores, sim_from_cores, mu, eps)
-    # Force evaluation inside the timed call, then release the scratch
-    # similar-edge cache.
-    result.assignments = result.assignments.persist()
-    result.assignments.count()
     sym.unpersist()
     return result

@@ -46,7 +46,20 @@ def approx_edge_similarities(
     seed: int = 0,
     use_degree_heuristic: bool = True,
 ) -> tuple[DataFrame, ApproxStats]:
-    """(u, v, w, sim) per edge with LSH-approximated similarities."""
+    """(u, v, w, sim) per edge with LSH-approximated similarities.
+
+    The approximated edges stay cached: the returned plan reads them
+    several times (sketch scope, estimates, the final join).
+    """
+    sims, stats, _ = _approx_similarities(g, k, measure, seed, use_degree_heuristic)
+    return sims, stats
+
+
+def _approx_similarities(
+    g: UndirectedGraph, k: int, measure: str, seed: int, use_degree_heuristic: bool
+) -> tuple[DataFrame, ApproxStats, DataFrame]:
+    """:func:`approx_edge_similarities` plus the cached approximated-edge
+    frame its result reads, for the caller to release."""
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}; expected one of {MEASURES}")
     thr = degree_threshold(measure, k) if use_degree_heuristic else 0.0
@@ -85,9 +98,7 @@ def approx_edge_similarities(
         n_vertices_sketched=n_sketched,
         degree_threshold=thr,
     )
-    # approx_edges stays cached: the returned plan still references it
-    # (it is tiny; Spark evicts LRU under memory pressure).
-    return sims, stats
+    return sims, stats, approx_edges
 
 
 def build_approx_index(
@@ -101,6 +112,12 @@ def build_approx_index(
 
     Queries against the returned index are *identical in cost* to exact
     queries — only construction (what Figures 8–10 measure) changes.
+    The cached approximated edges are the index's build cache, released
+    by its persist() once NO no longer reads them.
     """
-    sims, stats = approx_edge_similarities(g, k, measure, seed, use_degree_heuristic)
-    return build_index(g, measure, similarities=sims), stats
+    sims, stats, approx_edges = _approx_similarities(
+        g, k, measure, seed, use_degree_heuristic
+    )
+    idx = build_index(g, measure, similarities=sims)
+    idx.build_cache = approx_edges
+    return idx, stats

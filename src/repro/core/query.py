@@ -3,9 +3,11 @@
 A query (mu, eps) does no similarity computation: cores are a threshold
 filter on CO[mu], eps-similar edges a threshold filter on NO prefixes
 (the paper's doubling searches — on DataFrames a predicate filter is
-the data-parallel prefix extraction). The output-sized cores and
-eps-similar edges are then collected, connectivity runs on the induced
-core subgraph with driver-side union-find (as in the paper's own
+the data-parallel prefix extraction). Both filters form one plan over
+the persisted index, whose lineage ends at its checkpoint: the NO rows
+with sim >= eps, left-semi-joined to the broadcast CO[mu] prefix. That
+plan is collected once; connectivity then runs on the induced core
+subgraph with driver-side union-find (as in the paper's own
 implementation, §6.2), and border non-cores attach to a neighboring
 eps-similar core. Border assignment is the deterministic variant the
 paper uses for its quality measurements (§7.3.4): most similar core,
@@ -31,16 +33,19 @@ class ClusteringResult:
     ``assignments``: (v, cluster, is_core) for every *clustered* vertex
     (cores and borders); unclustered vertices are absent. ``cluster``
     is the minimum core id of the cluster's core component.
+    ``assignments_pdf`` is the same table on the driver, where the
+    query assembled it.
     """
 
     assignments: DataFrame
+    assignments_pdf: pd.DataFrame
     mu: int
     eps: float
 
     def labels_pandas(self) -> dict[int, int]:
-        """{vertex: cluster} for clustered vertices."""
-        pdf = self.assignments.select("v", "cluster").toPandas()
-        return dict(zip(pdf["v"].astype(int), pdf["cluster"].astype(int)))
+        """{vertex: cluster} for clustered vertices (no Spark job)."""
+        pdf = self.assignments_pdf
+        return dict(zip(pdf["v"].tolist(), pdf["cluster"].tolist()))
 
     def full_labels(self, num_vertices: int) -> DataFrame:
         """(v, cluster) over all vertices; unclustered v labeled v.
@@ -76,13 +81,12 @@ def similar_edges_from_cores(
     """Directed eps-similar edges out of cores: (u=core, v, sim).
 
     NO prefixes per core vertex (line 4 of Algorithm 5); excludes the
-    implicit self entry (NO ranks start at 2).
+    implicit self entry (NO ranks start at 2). The cores only select
+    rows (a left-semi join), so each NO row appears at most once.
     """
     return (
-        index.neighbor_order.join(
-            F.broadcast(cores.withColumnRenamed("v", "u")), "u"
-        )
-        .where(F.col("sim") >= eps)
+        index.neighbor_order.where(F.col("sim") >= eps)
+        .join(F.broadcast(cores.withColumnRenamed("v", "u")), "u", "left_semi")
         .select("u", "v", "sim")
     )
 
@@ -92,25 +96,27 @@ def assemble_clustering(
 ) -> ClusteringResult:
     """Clusters from precomputed cores + directed similar edges.
 
-    ``cores``: (v); ``sim``: (u, v, sim) where u is a core and sigma(u,
-    v) >= eps (both directions present for core-core pairs). Shared by
-    the index query and the ppSCAN-style per-query baseline — the two
-    differ only in how cores/similar edges are obtained.
+    ``cores``: (v), the core set ``sim`` was selected by; ``sim``: (u,
+    v, sim) for every core u and every v with sigma(u, v) >= eps (both
+    directions present for core-core pairs). Shared by the index query
+    and the ppSCAN-style per-query baseline — the two differ only in
+    how cores/similar edges are obtained.
 
-    Both inputs are collected and the query finishes on the driver
-    with union-find (paper §6.2). By Theorem 4.3 the eps-similar edge
-    set out of cores is bounded by the output clusters, so the collect
-    is the whole data movement of the query.
+    Only ``sim`` is collected, once, and the query finishes on the
+    driver with union-find (paper §6.2). ``cores`` is not collected:
+    with mu >= 2 every core has at least mu - 1 >= 1 eps-similar
+    neighbor, so the core ids are exactly the distinct ``u`` of
+    ``sim``. By Theorem 4.3 the eps-similar edge set out of cores is
+    bounded by the output clusters, so the collect is the whole data
+    movement of the query.
     """
-    spark = cores.sparkSession
-    cores_pdf = cores.toPandas()
+    spark = sim.sparkSession
     sim_pdf = sim.toPandas()
-    core_ids = cores_pdf["v"].astype("int64")
-    core_set = set(core_ids.tolist())
+    core_set = set(sim_pdf["u"].tolist())
     cc = sim_pdf[sim_pdf["v"].isin(core_set) & (sim_pdf["u"] < sim_pdf["v"])]
     labels = components_from_edges(
         edges=list(zip(cc["u"].astype(int), cc["v"].astype(int))),
-        vertices=core_ids.tolist(),
+        vertices=core_set,
     )
     rows = [(v, c, True) for v, c in labels.items()]
     # Border non-cores (Algorithm 4), deterministic rule: most similar
@@ -124,18 +130,19 @@ def assemble_clustering(
         rows += [
             (int(r.v), labels[int(r.u)], False) for r in best.itertuples(index=False)
         ]
-    if rows:
-        pdf = pd.DataFrame(rows, columns=["v", "cluster", "is_core"])
-        pdf["v"] = pdf["v"].astype("int64")
-        pdf["cluster"] = pdf["cluster"].astype("int64")
-        assignments = spark.createDataFrame(pdf)
-    else:
-        assignments = spark.createDataFrame([], "v long, cluster long, is_core boolean")
-    return ClusteringResult(assignments=assignments, mu=mu, eps=eps)
+    pdf = pd.DataFrame(rows, columns=["v", "cluster", "is_core"]).astype(
+        {"v": "int64", "cluster": "int64", "is_core": "bool"}
+    )
+    assignments = spark.createDataFrame(pdf, "v long, cluster long, is_core boolean")
+    return ClusteringResult(
+        assignments=assignments, assignments_pdf=pdf, mu=mu, eps=eps
+    )
 
 
 def query_clusters(index: SCANIndex, mu: int, eps: float) -> ClusteringResult:
-    """Retrieve the SCAN clustering for (mu, eps) (Algorithm 5)."""
+    """Retrieve the SCAN clustering for (mu, eps) (Algorithm 5): one
+    collect of the eps-edges out of the CO[mu] prefix, then driver
+    union-find."""
     cores = get_cores(index, mu, eps)
     sim = similar_edges_from_cores(index, cores, eps)
     return assemble_clustering(cores, sim, mu, eps)

@@ -18,9 +18,10 @@ from repro.experiments.harness import timed
 
 
 def build_index_timed(g, measure: str):
-    """(index, seconds) — construction ends when both orders are
-    materialized (persist + count), matching the paper's definition of
-    construction finishing with the index resident in memory."""
+    """(index, seconds) — construction ends when NO is materialized
+    (``SCANIndex.persist()``, an eager local checkpoint), matching the
+    paper's definition of construction finishing with the index
+    resident in memory."""
     return timed(lambda: build_index(g, measure).persist())
 
 

@@ -32,9 +32,10 @@ FIG7_EPS = 0.6
 
 
 def _materialized_query(index, mu, eps):
+    # query_clusters returns with the clustering on the driver, so the
+    # timer covers the whole query without another Spark job.
     res = query_clusters(index, mu, eps)
-    n = res.assignments.count()  # force full evaluation inside the timer
-    return res, n
+    return res, len(res.labels_pandas())
 
 
 def run_sweep(
@@ -67,8 +68,7 @@ def run_sweep(
                 # (paper §7.1); same restriction here.
                 t_pp = None
             else:
-                pp, t_pp = timed(lambda: pscan_query(g, mu, eps, measure))
-                pp.assignments.unpersist()
+                _, t_pp = timed(lambda: pscan_query(g, mu, eps, measure))
             _, t_seq = timed(lambda: seq.query(mu, eps))
             rows.append(
                 {

@@ -49,7 +49,6 @@ def test_same_clusters_as_index_engine(sbm_small, sbm_small_index, mu, eps):
     a = {r.v for r in via_index.assignments.collect()}
     b = {r.v for r in via_pscan.assignments.collect()}
     assert a == b
-    via_pscan.assignments.unpersist()
 
 
 @pytest.mark.parametrize("mu,eps", [(3, 0.5), (2, 0.7)])
@@ -77,7 +76,6 @@ def test_border_assignments_valid(sbm_small, sbm_small_index, mu, eps):
             for x in adj.get(row.v, [])
         )
         assert ok, f"border {row.v} invalidly assigned to {row.cluster}"
-    res.assignments.unpersist()
 
 
 @pytest.mark.parametrize("mu,eps", [(3, 0.4), (4, 0.6)])
@@ -90,14 +88,12 @@ def test_jaccard_agreement(sbm_small, mu, eps):
     assert _core_partition(via_index.assignments) == _core_partition(
         via_pscan.assignments
     )
-    via_pscan.assignments.unpersist()
 
 
 def test_fig1_pscan(fig1):
     res = pscan_query(fig1, 3, 0.6, "cosine")
     labels = res.labels_pandas()
     assert labels == {1: 1, 2: 1, 3: 1, 4: 1, 6: 6, 7: 6, 8: 6, 11: 6}
-    res.assignments.unpersist()
 
 
 def test_weighted_measure_rejected(weighted_small):

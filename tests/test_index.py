@@ -5,6 +5,7 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.baselines.gs_index_seq import SequentialGSIndex
+from repro.core.approx import build_approx_index
 from repro.core.index import SCANIndex, build_index
 from repro.core.query import query_clusters
 
@@ -111,6 +112,33 @@ def test_saved_index_derives_core_order(sbm_small_index, tmp_path, spark):
     for mu, eps in ((2, 0.3), (3, 0.5), (5, 0.6)):
         got = query_clusters(loaded, mu, eps).labels_pandas()
         assert got == query_clusters(sbm_small_index, mu, eps).labels_pandas()
+
+
+def test_persisted_index_plan_is_a_scan_of_stored_rows(sbm_small_index):
+    """persist() cuts NO's lineage: its executed plan no longer carries
+    the triangle/similarity/window plan that built it."""
+    plan = sbm_small_index.neighbor_order._jdf.queryExecution().executedPlan()
+    assert len(plan.toString().splitlines()) <= 5
+
+
+def _cached_rdd_ids(spark) -> set[int]:
+    return {i.id() for i in spark.sparkContext._jsc.sc().getRDDStorageInfo()}
+
+
+@pytest.mark.parametrize("kind", ["exact", "approx"])
+def test_unpersist_frees_everything_the_build_cached(spark, sbm_small, kind):
+    """After unpersist() no block a build or persist() stored is left,
+    and a query on the released index fails instead of recomputing."""
+    before = _cached_rdd_ids(spark)
+    if kind == "exact":
+        idx = build_index(sbm_small, "cosine").persist()
+    else:
+        idx = build_approx_index(sbm_small, 2, "cosine")[0].persist()
+    assert _cached_rdd_ids(spark) - before  # the checkpoint is stored
+    idx.unpersist()
+    assert _cached_rdd_ids(spark) - before == set()
+    with pytest.raises(Exception, match="CHECKPOINT_RDD_BLOCK_ID_NOT_FOUND"):
+        query_clusters(idx, 3, 0.5)
 
 
 def test_build_with_given_similarities(fig1, spark):

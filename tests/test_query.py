@@ -155,3 +155,16 @@ def test_monotonicity_in_mu(sbm_small_index):
         if prev is not None:
             assert cores <= prev
         prev = cores
+
+
+def test_query_is_one_collect(spark, sbm_small_index):
+    """A query runs two Spark jobs: the broadcast of the CO[mu] prefix
+    and the one collect of the eps-edges; labels come from the driver."""
+    sc = spark.sparkContext
+    sc.setJobGroup("test_query_is_one_collect", "one (mu, eps) query")
+    try:
+        labels = query_clusters(sbm_small_index, 3, 0.5).labels_pandas()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    assert labels
+    assert len(sc.statusTracker().getJobIdsForGroup("test_query_is_one_collect")) <= 2
