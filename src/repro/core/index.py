@@ -121,10 +121,17 @@ def neighbor_order_from_similarities(similarities: DataFrame) -> DataFrame:
     (rank 1 is the implicit self-entry with sigma = 1). Ties break by
     ascending neighbor id, matching the deterministic variant the paper
     uses for its quality experiments (§7.3.4).
+
+    Each row is emitted in both directions by one generator, so the
+    similarity plan is read once; a union of the two directions would
+    plan and run it twice.
     """
-    sym = similarities.select("u", "v", "sim").unionByName(
-        similarities.select(
-            F.col("v").alias("u"), F.col("u").alias("v"), "sim"
+    sym = similarities.select(
+        F.inline(
+            F.array(
+                F.struct("u", "v", "sim"),
+                F.struct(F.col("v").alias("u"), F.col("u").alias("v"), "sim"),
+            )
         )
     )
     win = Window.partitionBy("u").orderBy(F.col("sim").desc(), F.col("v").asc())
