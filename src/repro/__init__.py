@@ -4,7 +4,7 @@ Clustering and Its Approximation" (Tseng, Dhulipala, Shun; SIGMOD 2021).
 Subpackages:
 
 - ``repro.graph``     — graph substrate: DataFrame representation,
-  seeded synthetic generators, triangle counting.
+  seeded synthetic generators, common-neighbor (triangle) counting.
 - ``repro.core``      — the paper's contribution: exact and approximate
   SCAN index construction and cluster queries.
 - ``repro.lsh``       — locality-sensitive hashing (SimHash, MinHash).

@@ -24,11 +24,20 @@ assignment is arbitrary among valid cores anyway (§3.1, §7.1).
 """
 from __future__ import annotations
 
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.query import ClusteringResult, assemble_clustering
-from repro.core.similarity import _with_endpoint_degrees, similarities_for_edges
+from repro.core.similarity import similarities_for_edges
 from repro.graph.graphframe import UndirectedGraph
+
+
+def _with_endpoint_degrees(g: UndirectedGraph, edges: DataFrame) -> DataFrame:
+    deg = g.degrees()  # per-vertex: broadcastable dimension table
+    return edges.join(
+        F.broadcast(deg.withColumnRenamed("v", "u").withColumnRenamed("deg", "du")),
+        "u",
+    ).join(F.broadcast(deg.withColumnRenamed("deg", "dv")), "v")
 
 
 def _bounds(measure: str):

@@ -1,7 +1,7 @@
 """The paper's contribution: parallel index-based SCAN.
 
 - :mod:`repro.core.similarity` — exact per-edge structural similarity
-  (cosine / Jaccard / weighted cosine) via triangle counting.
+  (cosine / Jaccard / weighted cosine) via neighbor-list intersection.
 - :mod:`repro.core.index` — the GS*-Index structures (neighbor order,
   core order) built in parallel; Parquet persistence.
 - :mod:`repro.core.query` — cluster retrieval for arbitrary (mu, eps).

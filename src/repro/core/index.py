@@ -17,7 +17,7 @@ CO is a column projection of it, derived on read.
 
 Construction ends with ``SCANIndex.persist()``, an eager local
 checkpoint: NO's rows are stored and its lineage is cut, so a query
-plans over the stored rows only and never re-plans the triangle,
+plans over the stored rows only and never re-plans the neighbor-list,
 similarity and window passes. The index also saves as one Parquet
 dataset plus a small metadata file. Construction (expensive) is paid
 once and queries (cheap) are paid per (mu, eps) — the paper's whole
@@ -69,7 +69,7 @@ class SCANIndex:
         """Materialize NO and cut its lineage (ends "construction").
 
         An eager local checkpoint stores NO's rows in the block manager
-        and replaces the triangle/similarity/window plan by a scan of
+        and replaces the neighbor-list/similarity/window plan by a scan of
         those rows, so a query plans and runs over the stored index
         only, as it does over a Parquet-loaded one.
         """

@@ -16,10 +16,11 @@ id in the component.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import pandas as pd
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.cc.union_find import components_from_edges
@@ -30,17 +31,24 @@ from repro.core.index import SCANIndex
 class ClusteringResult:
     """Output of one SCAN query.
 
-    ``assignments``: (v, cluster, is_core) for every *clustered* vertex
-    (cores and borders); unclustered vertices are absent. ``cluster``
-    is the minimum core id of the cluster's core component.
-    ``assignments_pdf`` is the same table on the driver, where the
-    query assembled it.
+    ``assignments_pdf``: (v, cluster, is_core) for every *clustered*
+    vertex (cores and borders), on the driver where the query assembled
+    it; unclustered vertices are absent. ``cluster`` is the minimum
+    core id of the cluster's core component.
     """
 
-    assignments: DataFrame
     assignments_pdf: pd.DataFrame
     mu: int
     eps: float
+    spark: SparkSession = field(repr=False, compare=False)
+
+    @cached_property
+    def assignments(self) -> DataFrame:
+        """``assignments_pdf`` as a Spark DataFrame, made on first use:
+        a query read through :meth:`labels_pandas` never uploads it."""
+        return self.spark.createDataFrame(
+            self.assignments_pdf, "v long, cluster long, is_core boolean"
+        )
 
     def labels_pandas(self) -> dict[int, int]:
         """{vertex: cluster} for clustered vertices (no Spark job)."""
@@ -55,8 +63,7 @@ class ClusteringResult:
         Matches the paper's §7.3.4 treatment of unclustered vertices as
         singleton clusters for quality measurement.
         """
-        spark = self.assignments.sparkSession
-        allv = spark.range(1, num_vertices + 1).select(F.col("id").alias("v"))
+        allv = self.spark.range(1, num_vertices + 1).select(F.col("id").alias("v"))
         return allv.join(self.assignments.select("v", "cluster"), "v", "left").select(
             "v", F.coalesce("cluster", F.col("v")).alias("cluster")
         )
@@ -133,10 +140,7 @@ def assemble_clustering(
     pdf = pd.DataFrame(rows, columns=["v", "cluster", "is_core"]).astype(
         {"v": "int64", "cluster": "int64", "is_core": "bool"}
     )
-    assignments = spark.createDataFrame(pdf, "v long, cluster long, is_core boolean")
-    return ClusteringResult(
-        assignments=assignments, assignments_pdf=pdf, mu=mu, eps=eps
-    )
+    return ClusteringResult(assignments_pdf=pdf, mu=mu, eps=eps, spark=spark)
 
 
 def query_clusters(index: SCANIndex, mu: int, eps: float) -> ClusteringResult:

@@ -11,9 +11,12 @@ endpoints themselves are always shared since {u, v} ∈ E), hence:
   with w(x, x) = 1 and norm(v) = sqrt(1 + Σ_{x∈N(v)} w(v,x)²); the
   2·w(u,v) term is x = u and x = v of the closed intersection.
 
-t and the weighted numerator term come from one triangle-counting pass
-(:mod:`repro.graph.triangles`), which is the paper's O(alpha*m)
-similarity computation expressed as Catalyst joins.
+Every edge is joined to both endpoints' sorted neighbor lists
+(:mod:`repro.graph.triangles`): d = size(list) and t is the size of
+the lists' intersection, so all edges' similarities come from one Spark
+plan. Weighted cosine also explodes the common ids to look up the two
+weights of each. The full build, the §6.3 exact probe and the ppSCAN
+baseline's undecided edges all run this one function.
 """
 from __future__ import annotations
 
@@ -21,53 +24,44 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.graph.graphframe import UndirectedGraph
-from repro.graph.triangles import triangle_edge_aggregates
+from repro.graph.triangles import (
+    broadcast_if_small,
+    common_neighbor_weights,
+    with_neighbor_lists,
+)
 
 #: Supported similarity measures.
 MEASURES = ("cosine", "jaccard", "wcosine")
 
 
-def _with_endpoint_degrees(g: UndirectedGraph, edges: DataFrame) -> DataFrame:
-    deg = g.degrees()  # per-vertex: broadcastable dimension table
-    return edges.join(
-        F.broadcast(deg.withColumnRenamed("v", "u").withColumnRenamed("deg", "du")),
-        "u",
-    ).join(F.broadcast(deg.withColumnRenamed("deg", "dv")), "v")
-
-
-def _similarity_column(measure: str):
-    """Similarity expression over columns (w, tri, cw, du, dv[, nu, nv])."""
-    shared = F.col("tri") + F.lit(2)  # |closed intersection|
-    if measure == "cosine":
-        return shared / F.sqrt((F.col("du") + 1) * (F.col("dv") + 1))
-    if measure == "jaccard":
-        return shared / (F.col("du") + F.col("dv") + F.lit(2) - shared)
+def _similarities(g: UndirectedGraph, edges: DataFrame, measure: str) -> DataFrame:
+    """(u, v, w, sim) for every row of ``edges`` (u, v, w)."""
+    if measure not in MEASURES:
+        raise ValueError(f"unknown measure {measure!r}; expected one of {MEASURES}")
+    e = with_neighbor_lists(g, edges)
     if measure == "wcosine":
-        return (2 * F.col("w") + F.col("cw")) / (F.col("nu") * F.col("nv"))
-    raise ValueError(f"unknown measure {measure!r}; expected one of {MEASURES}")
+        cw = common_neighbor_weights(g, e).groupBy(
+            "u", "v", "w", "norm_u", "norm_v"
+        ).agg(F.coalesce(F.sum(F.col("wux") * F.col("wvx")), F.lit(0.0)).alias("cw"))
+        sim = (2 * F.col("w") + F.col("cw")) / (F.col("norm_u") * F.col("norm_v"))
+        return cw.select("u", "v", "w", sim.alias("sim"))
+    shared = F.size(F.array_intersect("nu", "nv")).cast("long") + 2  # |closed ∩|
+    du = F.size("nu").cast("long")
+    dv = F.size("nv").cast("long")
+    if measure == "cosine":
+        sim = shared / F.sqrt((du + 1) * (dv + 1))
+    else:  # jaccard
+        sim = shared / (du + dv + 2 - shared)
+    return e.select("u", "v", "w", sim.alias("sim"))
 
 
 def edge_similarities(g: UndirectedGraph, measure: str = "cosine") -> DataFrame:
     """Similarity of every edge: (u, v, w, sim) with u < v.
 
-    One full triangle-counting pass — the expensive part of index
-    construction the paper's Figure 5/8 experiments time.
+    The expensive part of index construction the paper's Figure 5/8
+    experiments time.
     """
-    if measure not in MEASURES:
-        raise ValueError(f"unknown measure {measure!r}; expected one of {MEASURES}")
-    tri = triangle_edge_aggregates(g)
-    e = (
-        _with_endpoint_degrees(g, g.edges)
-        .join(tri, ["u", "v"], "left")
-        .fillna({"tri": 0, "cw": 0.0})
-    )
-    if measure == "wcosine":
-        norms = g.closed_norms()
-        e = e.join(
-            F.broadcast(norms.withColumnRenamed("v", "u").withColumnRenamed("norm", "nu")),
-            "u",
-        ).join(F.broadcast(norms.withColumnRenamed("norm", "nv")), "v")
-    return e.select("u", "v", "w", _similarity_column(measure).alias("sim"))
+    return _similarities(g, g.edges, measure)
 
 
 def similarities_for_edges(
@@ -75,54 +69,9 @@ def similarities_for_edges(
 ) -> DataFrame:
     """Exact similarity restricted to ``subset`` (columns u, v, u < v).
 
-    Instead of a full triangle pass, expands the *lower-degree*
-    endpoint's neighbor list per edge and probes the other endpoint's
-    adjacency with a hash join — the Spark analog of Algorithm 1's
-    "search the smaller neighborhood in the larger one's hash set".
     Used by the approximation heuristic (exact similarities for
     low-degree edges, §6.3) and the ppSCAN baseline (only undecided
     edges need exact computation).
     """
-    sub = _with_endpoint_degrees(g, subset.select("u", "v"))
-    sub = sub.join(g.edges, ["u", "v"]).select("u", "v", "w", "du", "dv")
-    # Orient so ``s`` is the lower-degree endpoint whose list we expand.
-    low = (F.col("du") < F.col("dv")) | (
-        (F.col("du") == F.col("dv")) & (F.col("u") < F.col("v"))
-    )
-    oriented = sub.select(
-        "u", "v", "w", "du", "dv",
-        F.when(low, F.col("u")).otherwise(F.col("v")).alias("s"),
-        F.when(low, F.col("v")).otherwise(F.col("u")).alias("t"),
-    )
-    adj = g.adjacency()
-    # Same size gate as the triangle pass: at lite scale the adjacency
-    # is broadcastable and both probes become map-side joins.
-    small = g._num_edges is not None and g._num_edges <= 500_000
-    maybe_broadcast = F.broadcast if small else (lambda df: df)
-    expand = oriented.join(
-        maybe_broadcast(
-            adj.select(
-                F.col("u").alias("s"), F.col("v").alias("x"), F.col("w").alias("wsx")
-            )
-        ),
-        "s",
-    ).where(F.col("x") != F.col("t"))
-    common = expand.join(
-        maybe_broadcast(
-            adj.select(
-                F.col("u").alias("t"), F.col("v").alias("x"), F.col("w").alias("wtx")
-            )
-        ),
-        ["t", "x"],
-    )
-    agg = common.groupBy("u", "v").agg(
-        F.count("*").alias("tri"), F.sum(F.col("wsx") * F.col("wtx")).alias("cw")
-    )
-    e = sub.join(agg, ["u", "v"], "left").fillna({"tri": 0, "cw": 0.0})
-    if measure == "wcosine":
-        norms = g.closed_norms()
-        e = e.join(
-            F.broadcast(norms.withColumnRenamed("v", "u").withColumnRenamed("norm", "nu")),
-            "u",
-        ).join(F.broadcast(norms.withColumnRenamed("norm", "nv")), "v")
-    return e.select("u", "v", "w", _similarity_column(measure).alias("sim"))
+    edges = subset.select("u", "v").join(broadcast_if_small(g)(g.edges), ["u", "v"])
+    return _similarities(g, edges, measure)

@@ -1,4 +1,4 @@
-"""Graph substrate: representation, generators, and triangle counting.
+"""Graph substrate: representation, generators, and common-neighbor counting.
 
 PySpark has no GraphX binding, so this package *is* the graph engine
 for the reproduction: an undirected graph is a canonical edge DataFrame

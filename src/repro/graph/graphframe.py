@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
@@ -37,6 +38,27 @@ def canonical_edges(df: DataFrame) -> DataFrame:
     )
 
 
+def _check_edge_list(pdf: pd.DataFrame, num_vertices: int) -> None:
+    """Reject a non-empty pandas edge list that does not describe a
+    graph on ``1..num_vertices`` with finite positive weights."""
+    ids = pdf[["u", "v"]]
+    if not all(pd.api.types.is_integer_dtype(t) for t in ids.dtypes):
+        raise ValueError(f"vertex ids must be integers, got dtypes {list(ids.dtypes)}")
+    lo, hi = int(ids.min().min()), int(ids.max().max())
+    if lo < 1 or hi > num_vertices:
+        raise ValueError(
+            f"vertex ids must lie in 1..{num_vertices}, got ids in {lo}..{hi}"
+        )
+    if "w" in pdf.columns:
+        w = pdf["w"].to_numpy(dtype=float)
+        bad = ~(np.isfinite(w) & (w > 0))
+        if bad.any():
+            raise ValueError(
+                f"edge weights must be finite and > 0, got {w[bad][0]!r} "
+                f"({int(bad.sum())} bad)"
+            )
+
+
 @dataclass
 class UndirectedGraph:
     """A simple undirected (optionally weighted) graph.
@@ -60,14 +82,21 @@ class UndirectedGraph:
         num_vertices: int | None = None,
         weighted: bool = False,
     ) -> "UndirectedGraph":
-        """Build from a pandas edge list with columns (u, v[, w])."""
+        """Build from a pandas edge list with columns (u, v[, w]).
+
+        Raises ``ValueError`` for vertex ids that are not integers in
+        ``1..num_vertices`` and for weights that are not finite and
+        positive: an edge to a vertex outside the universe, or one NaN
+        weight, would otherwise give silently wrong similarities.
+        """
+        if num_vertices is None:
+            num_vertices = 0 if pdf.empty else int(pdf[["u", "v"]].to_numpy().max())
         if pdf.empty:
             # createDataFrame cannot infer a schema from zero rows.
             edges = spark.createDataFrame([], "u long, v long, w double")
         else:
+            _check_edge_list(pdf, num_vertices)
             edges = canonical_edges(spark.createDataFrame(pdf))
-        if num_vertices is None:
-            num_vertices = 0 if pdf.empty else int(pdf[["u", "v"]].to_numpy().max())
         return UndirectedGraph(edges, num_vertices, weighted)
 
     @staticmethod
@@ -110,23 +139,6 @@ class UndirectedGraph:
             self.vertices()
             .join(d, "v", "left")
             .select("v", F.coalesce("deg", F.lit(0)).alias("deg"))
-        )
-
-    def closed_norms(self) -> DataFrame:
-        """Weighted closed-neighborhood 2-norm per vertex, (v, norm).
-
-        ``norm(v) = sqrt(1 + sum_{x in N(v)} w(v,x)^2)`` — the 1 is the
-        implicit self-edge weight w(v, v) = 1 (paper §4.1.1).
-        """
-        s = self.adjacency().groupBy(F.col("u").alias("v")).agg(
-            F.sum(F.col("w") * F.col("w")).alias("sq")
-        )
-        return (
-            self.vertices()
-            .join(s, "v", "left")
-            .select(
-                "v", F.sqrt(F.lit(1.0) + F.coalesce("sq", F.lit(0.0))).alias("norm")
-            )
         )
 
     # -- scalars -----------------------------------------------------

@@ -15,11 +15,16 @@ import os
 # module imports — so an explicit SPARK_SHUFFLE_PARTITIONS still wins.
 os.environ.setdefault("SPARK_SHUFFLE_PARTITIONS", "4")
 
+import pandas as pd
 import pytest
 
 from repro.core.index import build_index
 from repro.core.similarity import edge_similarities
 from repro.graph import generators as gen
+from repro.graph.graphframe import UndirectedGraph
+
+#: Fixture names of the adversarial shapes below, for parametrizing.
+ADVERSARIAL = ("star", "two_cliques", "with_isolated", "edgeless")
 
 
 @pytest.fixture(scope="session")
@@ -80,6 +85,48 @@ def dense_small(spark):
 
 
 @pytest.fixture(scope="session")
+def star(spark):
+    """One hub joined to 40 leaves: every edge intersects the hub's
+    whole list, the most work per edge relative to O(alpha*m), and no
+    edge has a common neighbor."""
+    g = UndirectedGraph.from_edge_list(spark, [(1, v) for v in range(2, 42)], 41)
+    yield g.materialize()
+    g.unpersist()
+
+
+@pytest.fixture(scope="session")
+def two_cliques(spark):
+    """Two weighted 6-cliques joined by the one edge (6, 7): similarity
+    1 inside each clique away from the bridge, low across it."""
+    edges = [
+        (a, b, 1.0 + (a * b) % 5 / 4)
+        for lo in (1, 7)
+        for a in range(lo, lo + 6)
+        for b in range(a + 1, lo + 6)
+    ]
+    g = UndirectedGraph.from_edge_list(spark, edges + [(6, 7, 0.5)], 12)
+    yield g.materialize()
+    g.unpersist()
+
+
+@pytest.fixture(scope="session")
+def with_isolated(spark):
+    """A triangle with a tail, plus isolated vertices 1, 5, 8, 9, 10."""
+    edges = [(2, 3), (3, 4), (2, 4), (4, 6), (6, 7)]
+    g = UndirectedGraph.from_edge_list(spark, edges, 10)
+    yield g.materialize()
+    g.unpersist()
+
+
+@pytest.fixture(scope="session")
+def edgeless(spark):
+    """Five vertices and no edges."""
+    g = UndirectedGraph.from_pandas(spark, pd.DataFrame(columns=["u", "v"]), 5)
+    yield g.materialize()
+    g.unpersist()
+
+
+@pytest.fixture(scope="session")
 def gnp_small_index(gnp_small):
     idx = build_index(gnp_small, "cosine").persist()
     yield idx
@@ -105,8 +152,8 @@ def exact_sims():
     """Session cache of exact per-edge similarities as pandas Series.
 
     Many statistical LSH tests compare estimates against the same
-    exact values; recomputing the triangle pass per test dominated the
-    suite's wall time before this cache existed.
+    exact values, so each (graph, measure) runs the similarity plan
+    once per session instead of once per test.
     """
     cache: dict = {}
 

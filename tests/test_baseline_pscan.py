@@ -4,9 +4,9 @@ same clustering up to ambiguous border assignment)."""
 import pytest
 from pyspark.sql import functions as F
 
-from repro.baselines.pscan import _bounds, pscan_query
+from repro.baselines.pscan import _bounds, _with_endpoint_degrees, pscan_query
 from repro.core.query import query_clusters
-from repro.core.similarity import _with_endpoint_degrees, edge_similarities
+from repro.core.similarity import edge_similarities
 
 PARAMS = [(2, 0.2), (3, 0.4), (3, 0.6), (5, 0.5), (2, 0.8), (4, 0.7)]
 

@@ -67,24 +67,6 @@ def test_fig1_degrees(fig1):
     assert deg == {1: 3, 2: 2, 3: 3, 4: 3, 5: 2, 6: 3, 7: 3, 8: 3, 9: 2, 10: 1, 11: 1}
 
 
-def test_closed_norms_unweighted_equal_sqrt_closed_degree(fig1):
-    norms = dict(fig1.closed_norms().toPandas().itertuples(index=False))
-    deg = dict(fig1.degrees().toPandas().itertuples(index=False))
-    for v, d in deg.items():
-        assert norms[v] == pytest.approx((d + 1) ** 0.5)
-
-
-def test_closed_norms_weighted(weighted_small):
-    norms = dict(weighted_small.closed_norms().toPandas().itertuples(index=False))
-    pdf = weighted_small.to_pandas()
-    sym = pd.concat(
-        [pdf.rename(columns={"u": "s"}), pdf.rename(columns={"v": "s", "u": "v"})]
-    )
-    sq = sym.groupby("s")["w"].apply(lambda s: (s**2).sum())
-    for v, n in norms.items():
-        assert n == pytest.approx((1.0 + sq.get(v, 0.0)) ** 0.5)
-
-
 def test_to_pandas_sorted_canonical(fig1):
     pdf = fig1.to_pandas()
     assert (pdf["u"] < pdf["v"]).all()
@@ -95,3 +77,31 @@ def test_empty_graph(spark):
     g = UndirectedGraph.from_pandas(spark, pd.DataFrame(columns=["u", "v"]), 3)
     assert g.num_edges() == 0
     assert g.degrees().toPandas()["deg"].tolist() == [0, 0, 0]
+
+
+def test_vertex_id_outside_universe_raises(spark):
+    # (3, 7) used to be dropped silently, leaving an NO of 6 rows, not 8.
+    with pytest.raises(ValueError, match=r"1\.\.4"):
+        UndirectedGraph.from_edge_list(
+            spark, [(1, 2), (2, 3), (1, 3), (3, 7)], num_vertices=4
+        )
+
+
+def test_vertex_id_below_one_raises(spark):
+    with pytest.raises(ValueError, match=r"1\.\.3"):
+        UndirectedGraph.from_edge_list(spark, [(0, 1), (1, 2)], num_vertices=3)
+
+
+def test_non_integer_vertex_ids_raise(spark):
+    pdf = pd.DataFrame({"u": [1.0, 2.5], "v": [2.0, 3.0]})
+    with pytest.raises(ValueError, match="integers"):
+        UndirectedGraph.from_pandas(spark, pdf, num_vertices=3)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+def test_non_finite_or_non_positive_weight_raises(spark, bad):
+    # One NaN weight used to make every wcosine similarity NaN.
+    with pytest.raises(ValueError, match="finite and > 0"):
+        UndirectedGraph.from_edge_list(
+            spark, [(1, 2, 1.0), (2, 3, bad), (1, 3, 2.0)], 3, weighted=True
+        )

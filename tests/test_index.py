@@ -121,6 +121,19 @@ def test_persisted_index_plan_is_a_scan_of_stored_rows(sbm_small_index):
     assert len(plan.toString().splitlines()) <= 5
 
 
+def test_build_is_few_spark_jobs(spark, sbm_small):
+    """The exact build is one plan: the neighbor-list groupBy, its two
+    broadcasts, the NO window shuffle and the checkpoint."""
+    sc = spark.sparkContext
+    sc.setJobGroup("test_build_is_few_spark_jobs", "exact build")
+    try:
+        idx = build_index(sbm_small, "cosine").persist()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    idx.unpersist()
+    assert len(sc.statusTracker().getJobIdsForGroup("test_build_is_few_spark_jobs")) <= 8
+
+
 def _cached_rdd_ids(spark) -> set[int]:
     return {i.id() for i in spark.sparkContext._jsc.sc().getRDDStorageInfo()}
 

@@ -12,6 +12,7 @@ from repro.core.query import (
     similar_edges_from_cores,
 )
 from repro.oracle import assert_equivalent
+from tests.conftest import ADVERSARIAL
 from tests.oracle_sql import COMPONENTS
 
 EPS_GRID = (0.1, 0.3, 0.5, 0.6, 0.7, 0.9)
@@ -98,6 +99,22 @@ def test_differential_weighted(weighted_small, weighted_index, mu, eps):
     got = query_clusters(weighted_index, mu, eps).labels_pandas()
     expect = _seq_for(weighted_small, "wcosine").query(mu, eps)
     assert got == expect
+
+
+@pytest.mark.parametrize("fixture", ADVERSARIAL)
+def test_adversarial_shapes_build_and_query(fixture, request):
+    """Stars, bridged cliques, isolated vertices and the empty graph:
+    the persisted index has 2m NO rows and every query equals the
+    sequential GS*-Index, at the eps extremes too."""
+    g = request.getfixturevalue(fixture)
+    idx = build_index(g, "cosine").persist()
+    try:
+        assert idx.neighbor_order.count() == 2 * g.num_edges()
+        seq = _seq_for(g)
+        for mu, eps in ((2, 0.0), (3, 0.0), (2, 0.5), (3, 0.7), (2, 1.0), (6, 1.0)):
+            assert query_clusters(idx, mu, eps).labels_pandas() == seq.query(mu, eps)
+    finally:
+        idx.unpersist()
 
 
 @pytest.mark.parametrize("mu,eps", [(2, 0.4), (3, 0.6), (4, 0.5)])

@@ -8,10 +8,11 @@ from pyspark.sql import functions as F
 from repro.core.similarity import edge_similarities, similarities_for_edges
 from repro.oracle import assert_equivalent
 from tests import oracle_sql
+from tests.conftest import ADVERSARIAL
 
 
 @pytest.mark.parametrize("measure", ["cosine", "jaccard"])
-@pytest.mark.parametrize("fixture", ["fig1", "gnp_small", "sbm_small"])
+@pytest.mark.parametrize("fixture", ["fig1", "gnp_small", "sbm_small", *ADVERSARIAL])
 def test_similarities_match_duckdb(measure, fixture, request):
     g = request.getfixturevalue(fixture)
     assert_equivalent(
@@ -21,7 +22,7 @@ def test_similarities_match_duckdb(measure, fixture, request):
     )
 
 
-@pytest.mark.parametrize("fixture", ["weighted_small", "fig1"])
+@pytest.mark.parametrize("fixture", ["weighted_small", "fig1", *ADVERSARIAL])
 def test_weighted_cosine_matches_duckdb(fixture, request):
     g = request.getfixturevalue(fixture)
     assert_equivalent(

@@ -4,16 +4,15 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.graph.graphframe import UndirectedGraph
-from repro.graph.triangles import (
-    degree_ranked_edges,
-    total_triangles,
-    triangle_edge_aggregates,
-)
+from repro.graph.triangles import total_triangles, triangle_edge_aggregates
 from repro.oracle import assert_equivalent
+from tests.conftest import ADVERSARIAL
 from tests.oracle_sql import TRIANGLES_PER_EDGE
 
 
-@pytest.mark.parametrize("fixture", ["fig1", "gnp_small", "sbm_small", "weighted_small"])
+@pytest.mark.parametrize(
+    "fixture", ["fig1", "gnp_small", "sbm_small", "weighted_small", *ADVERSARIAL]
+)
 def test_per_edge_aggregates_match_duckdb(fixture, request):
     g = request.getfixturevalue(fixture)
     assert_equivalent(
@@ -50,16 +49,6 @@ def test_each_triangle_counted_once(dense_small):
         .collect()[0]["s"]
     )
     assert s % 3 == 0
-
-
-def test_degree_ranked_orientation(fig1):
-    d = degree_ranked_edges(fig1).toPandas()
-    assert (d["ra"] < d["rb"]).all()
-    assert len(d) == fig1.num_edges()
-    deg = dict(fig1.degrees().toPandas().itertuples(index=False))
-    for row in d.itertuples(index=False):
-        da, db = deg[row.a], deg[row.b]
-        assert (da, row.a) < (db, row.b)
 
 
 def test_weighted_cw_brute_force(weighted_small):
