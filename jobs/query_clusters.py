@@ -1,8 +1,10 @@
 """spark-submit entrypoint — query a saved SCAN index.
 
 Usage: spark-submit jobs/query_clusters.py <index_dir> <mu> <eps>
-Prints cluster sizes and the hub/outlier counts require the graph, so
-this job reports the clustering only.
+
+Prints the size of each cluster, largest first. Telling hubs from
+outliers needs the graph, which the saved index does not hold, so this
+job reports the clustering only.
 """
 import sys
 

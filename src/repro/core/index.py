@@ -60,11 +60,6 @@ class SCANIndex:
     def spark(self) -> SparkSession:
         return self.neighbor_order.sparkSession
 
-    def max_mu(self) -> int:
-        """Largest mu with any candidate core (max closed degree)."""
-        row = self.core_order.agg(F.max("mu").alias("m")).collect()[0]
-        return int(row["m"]) if row["m"] is not None else 1
-
     def persist(self) -> "SCANIndex":
         """Materialize NO and cut its lineage (ends "construction").
 

@@ -55,19 +55,6 @@ class ClusteringResult:
         pdf = self.assignments_pdf
         return dict(zip(pdf["v"].tolist(), pdf["cluster"].tolist()))
 
-    def full_labels(self, num_vertices: int) -> DataFrame:
-        """(v, cluster) over all vertices; unclustered v labeled v.
-
-        Safe: cluster ids are ids of clustered (core) vertices, so a
-        singleton label v of an unclustered vertex cannot collide.
-        Matches the paper's §7.3.4 treatment of unclustered vertices as
-        singleton clusters for quality measurement.
-        """
-        allv = self.spark.range(1, num_vertices + 1).select(F.col("id").alias("v"))
-        return allv.join(self.assignments.select("v", "cluster"), "v", "left").select(
-            "v", F.coalesce("cluster", F.col("v")).alias("cluster")
-        )
-
 
 def get_cores(index: SCANIndex, mu: int, eps: float) -> DataFrame:
     """Core vertices under (mu, eps): prefix of CO[mu] (Algorithm 3).

@@ -7,12 +7,24 @@ from typing import Any, Callable
 from pyspark.sql import SparkSession
 
 
+#: Shuffle partitions of every session. The lite graphs are a few MB, so
+#: more partitions mostly add near-empty tasks: on a 4-vCPU machine the
+#: orkut_lite build took 2.45–2.98 s at 4 and 3.7–4.65 s at 32. The
+#: benchmark's own session (scanbench/session.py) pins the same value.
+SHUFFLE_PARTITIONS = 4
+
+
 def get_session(app: str = "repro") -> SparkSession:
-    """SparkSession for jobs/ entrypoints (tests use the conftest
-    fixture instead). Mirrors the fixture's post-launch configs."""
+    """The SparkSession of the jobs/ entrypoints and of the tests.
+
+    Master and driver memory are launch arguments, read once when the
+    JVM starts (``PYSPARK_SUBMIT_ARGS``); this sets the configs honoured
+    after launch. Auto-broadcast is off: the code hints the small
+    per-vertex tables it broadcasts itself.
+    """
     return (
         SparkSession.builder.appName(app)
-        .config("spark.sql.shuffle.partitions", "32")
+        .config("spark.sql.shuffle.partitions", str(SHUFFLE_PARTITIONS))
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()

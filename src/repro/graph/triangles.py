@@ -116,11 +116,3 @@ def triangle_edge_aggregates(g: UndirectedGraph) -> DataFrame:
         .where(F.col("tri") > 0)
     )
 
-
-def total_triangles(g: UndirectedGraph) -> int:
-    """Total triangle count of the graph (each counted once)."""
-    t = with_neighbor_lists(g, g.edges).select(
-        F.size(F.array_intersect("nu", "nv")).alias("t")
-    )
-    agg = t.agg(F.sum("t").alias("s")).collect()[0]["s"]
-    return 0 if agg is None else int(agg) // 3

@@ -24,8 +24,7 @@ def modularity_pandas(edges: pd.DataFrame, labels: dict[int, int]) -> float:
 
     ``edges``: canonical (u, v[, w]) pandas frame; ``labels``: total
     {vertex: cluster} map (callers put unclustered vertices in their
-    own singleton clusters, e.g. label = vertex id —
-    :meth:`repro.core.query.ClusteringResult.full_labels` does this).
+    own singleton clusters, e.g. label = vertex id).
     """
     if edges.empty:
         return 0.0

@@ -6,15 +6,6 @@ indices. All graphs are deterministic in their seeds.
 """
 from __future__ import annotations
 
-import os
-
-# Test graphs are tiny (tens to hundreds of edges); 64 shuffle
-# partitions would mean mostly-empty tasks on every one of the
-# thousands of shuffles this suite runs. The root conftest reads this
-# env var when the session fixture first runs — which is after this
-# module imports — so an explicit SPARK_SHUFFLE_PARTITIONS still wins.
-os.environ.setdefault("SPARK_SHUFFLE_PARTITIONS", "4")
-
 import pandas as pd
 import pytest
 

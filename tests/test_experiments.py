@@ -7,7 +7,7 @@ from repro.experiments.exp_approx_construction import run as run_fig8
 from repro.experiments.exp_approx_quality import run as run_fig9_10
 from repro.experiments.exp_index_construction import run as run_fig5
 from repro.experiments.exp_query import run_sweep
-from repro.experiments.harness import format_table, timed
+from repro.experiments.harness import SHUFFLE_PARTITIONS, format_table, timed
 from repro.graph import generators as gen
 
 
@@ -59,6 +59,15 @@ def test_load_smallest_dataset(spark):
     assert g.num_edges() > 10_000
     assert g.weighted
     g.unpersist()
+
+
+def test_tests_run_on_the_jobs_session(spark):
+    """The suite's session has the jobs' settings, so a test sees the
+    plans and task counts that the recorded figures came from."""
+    conf = spark.conf
+    assert conf.get("spark.sql.shuffle.partitions") == str(SHUFFLE_PARTITIONS)
+    assert conf.get("spark.sql.autoBroadcastJoinThreshold") == "-1"
+    assert conf.get("spark.sql.execution.arrow.pyspark.enabled") == "true"
 
 
 def test_timed_returns_result_and_positive_time():

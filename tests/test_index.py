@@ -2,7 +2,6 @@
 import dataclasses
 
 import pytest
-from pyspark.sql import functions as F
 
 from repro.baselines.gs_index_seq import SequentialGSIndex
 from repro.core.approx import build_approx_index
@@ -49,11 +48,6 @@ def test_fig1_core_order_paper_numbers(fig1_index):
 def test_index_size_is_2m(fig1_index, fig1):
     assert fig1_index.neighbor_order.count() == 2 * fig1.num_edges()
     assert fig1_index.core_order.count() == 2 * fig1.num_edges()
-
-
-def test_max_mu_is_max_closed_degree(fig1_index, fig1):
-    max_deg = fig1.degrees().agg(F.max("deg")).collect()[0][0]
-    assert fig1_index.max_mu() == max_deg + 1
 
 
 def test_matches_sequential_reference(sbm_small, sbm_small_index):

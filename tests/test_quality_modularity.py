@@ -19,9 +19,12 @@ def _duckdb_modularity(edges: pd.DataFrame, labels: pd.DataFrame) -> float:
 
 
 def _full_labels(g, index, mu, eps):
-    """Total labeling of one query as a pandas frame and a dict."""
-    full = query_clusters(index, mu, eps).full_labels(g.num_vertices).toPandas()
-    return full, dict(full.itertuples(index=False))
+    """Total labeling of one query, each unclustered vertex its own
+    singleton cluster (paper §7.3.4), as a pandas frame and a dict."""
+    lab = query_clusters(index, mu, eps).labels_pandas()
+    labels = {v: lab.get(v, v) for v in range(1, g.num_vertices + 1)}
+    full = pd.DataFrame({"v": list(labels), "cluster": list(labels.values())})
+    return full, labels
 
 
 def test_two_triangles_hand_computed():

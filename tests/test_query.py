@@ -141,10 +141,12 @@ def test_core_components_match_duckdb_recursive_cte(sbm_small_index, spark):
 
 
 def test_full_labels_are_total_and_collision_free(fig1, fig1_index):
-    res = query_clusters(fig1_index, 3, 0.6)
-    full = res.full_labels(fig1.num_vertices).toPandas()
-    assert len(full) == 11
-    lab = dict(full.itertuples(index=False))
+    """Quality measures label an unclustered vertex by its own id
+    (paper §7.3.4); no such label can collide with a cluster id,
+    because every cluster id is the id of a clustered vertex."""
+    labels = query_clusters(fig1_index, 3, 0.6).labels_pandas()
+    assert set(labels.values()) <= set(labels)
+    lab = {v: labels.get(v, v) for v in range(1, fig1.num_vertices + 1)}
     assert lab[5] == 5 and lab[9] == 9 and lab[10] == 10  # singletons
     assert lab[11] == 6
 

@@ -1,10 +1,8 @@
 """Triangle counting vs the DuckDB oracle and brute force."""
-import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.graph.graphframe import UndirectedGraph
-from repro.graph.triangles import total_triangles, triangle_edge_aggregates
+from repro.graph.triangles import triangle_edge_aggregates
 from repro.oracle import assert_equivalent
 from tests.conftest import ADVERSARIAL
 from tests.oracle_sql import TRIANGLES_PER_EDGE
@@ -22,23 +20,6 @@ def test_per_edge_aggregates_match_duckdb(fixture, request):
         TRIANGLES_PER_EDGE,
         e=g.edges,
     )
-
-
-def test_triangle_total_k4(spark):
-    g = UndirectedGraph.from_edge_list(
-        spark, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)], 4
-    )
-    assert total_triangles(g) == 4
-
-
-def test_triangle_total_triangle_free(spark):
-    g = UndirectedGraph.from_edge_list(spark, [(1, 2), (2, 3), (3, 4), (4, 5)], 5)
-    assert total_triangles(g) == 0
-
-
-def test_triangle_total_fig1(fig1):
-    # Figure-1 graph triangles: {1,2,3}, {1,3,4}, {6,7,8}
-    assert total_triangles(fig1) == 3
 
 
 def test_each_triangle_counted_once(dense_small):
