@@ -6,9 +6,17 @@ k-partition MinHash, like the paper's implementation.
 The §6.3 degree heuristic: approximating a low-degree pair is slower
 *and* less accurate than intersecting its neighbor lists, so only edges
 whose endpoints **both** exceed a degree threshold (k for cosine, 3k/2
-for Jaccard) use sketches; everything else is computed exactly with
-:func:`repro.core.similarity.similarities_for_edges`. Sketches are only
-built for vertices that actually have an approximated incident edge.
+for Jaccard) use sketches; everything else is computed exactly.
+
+The build is one pass over the edges joined to both endpoints' sorted
+neighbor lists (:func:`repro.graph.triangles.with_neighbor_lists`),
+stored once: a degree is a list's size, so the split needs no degree
+table. Only vertices with an approximated incident edge are sketched,
+into one checkpointed sketch frame that is broadcast into the estimate
+joins. Each edge then takes the sketch estimate if it is approximated
+and otherwise the exact formula of
+:func:`repro.core.similarity.similarities_from_lists` over the same
+row's lists, so there is no second neighbor-list plan and no union.
 """
 from __future__ import annotations
 
@@ -17,11 +25,12 @@ from dataclasses import dataclass
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.index import SCANIndex, build_index
-from repro.core.similarity import MEASURES, similarities_for_edges
+from repro.core.index import SCANIndex, build_index, release
+from repro.core.similarity import MEASURES, similarities_from_lists
 from repro.graph.graphframe import UndirectedGraph
-from repro.lsh.minhash import minhash_edge_similarities, minhash_sketches
-from repro.lsh.simhash import simhash_edge_similarities, simhash_sketches
+from repro.graph.triangles import broadcast_if_small, with_neighbor_lists
+from repro.lsh.minhash import minhash_estimator, minhash_sketches
+from repro.lsh.simhash import simhash_estimator, simhash_sketches, with_sketches
 
 
 @dataclass
@@ -48,57 +57,54 @@ def approx_edge_similarities(
 ) -> tuple[DataFrame, ApproxStats]:
     """(u, v, w, sim) per edge with LSH-approximated similarities.
 
-    The approximated edges stay cached: the returned plan reads them
-    several times (sketch scope, estimates, the final join).
+    The result is cached and materialized, and the frames the plan
+    stored on the way are already released: its ``unpersist()`` frees
+    everything this call stored.
     """
-    sims, stats, _ = _approx_similarities(g, k, measure, seed, use_degree_heuristic)
+    sims, stats, cache = _approx_similarities(g, k, measure, seed, use_degree_heuristic)
+    sims = sims.persist()
+    sims.count()
+    for df in cache:
+        release(df)
     return sims, stats
 
 
 def _approx_similarities(
     g: UndirectedGraph, k: int, measure: str, seed: int, use_degree_heuristic: bool
-) -> tuple[DataFrame, ApproxStats, DataFrame]:
-    """:func:`approx_edge_similarities` plus the cached approximated-edge
-    frame its result reads, for the caller to release."""
+) -> tuple[DataFrame, ApproxStats, list[DataFrame]]:
+    """:func:`approx_edge_similarities`, unmaterialized, plus the frames
+    it stored and its result reads, for the caller to release."""
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}; expected one of {MEASURES}")
     thr = degree_threshold(measure, k) if use_degree_heuristic else 0.0
-    deg = g.degrees()
-    e = g.edges.join(
-        F.broadcast(deg.withColumnRenamed("v", "u").withColumnRenamed("deg", "du")),
-        "u",
-    ).join(F.broadcast(deg.withColumnRenamed("deg", "dv")), "v")
-    is_approx = (F.col("du") > thr) & (F.col("dv") > thr)
-    approx_edges = e.where(is_approx).select("u", "v", "w").persist()
-    exact_edges = e.where(~is_approx).select("u", "v")
-    n_approx = approx_edges.count()
-
-    parts: list[DataFrame] = []
+    is_approx = (F.size("nu") > thr) & (F.size("nv") > thr)
+    e = with_neighbor_lists(g, g.edges).withColumn("approx", is_approx).persist()
+    cache = [e]
+    n_approx = e.where("approx").count()
     n_sketched = 0
+    sim = F.col("sim")
     if n_approx > 0:
-        scope = (
-            approx_edges.select(F.col("u").alias("v"))
-            .unionByName(approx_edges.select("v"))
-            .distinct()
-        )
+        scope = e.where("approx").select(F.explode(F.array("u", "v")).alias("v")).distinct()
         if measure == "jaccard":
             sk = minhash_sketches(g, k, seed, scope=scope)
-            est = minhash_edge_similarities(approx_edges, sk, k)
+            est = minhash_estimator(k)
         else:  # cosine / wcosine — SimHash handles weights natively
             sk = simhash_sketches(g, k, seed, scope=scope)
-            est = simhash_edge_similarities(approx_edges, sk, k)
-        n_sketched = scope.count()
-        parts.append(approx_edges.join(est, ["u", "v"]).select("u", "v", "w", "sim"))
-    exact = similarities_for_edges(g, exact_edges, measure)
-    parts.append(exact)
-    sims = parts[0] if len(parts) == 1 else parts[0].unionByName(parts[1])
+            est = simhash_estimator(k)
+        sk = sk.localCheckpoint(eager=True)
+        cache.append(sk)
+        n_sketched = sk.count()
+        # Left joins: an exact edge has an endpoint without a sketch.
+        e = with_sketches(e, sk, "left", broadcast_if_small(g))
+        sim = F.when(F.col("approx"), est("sk_u", "sk_v")).otherwise(sim)
+    sims = similarities_from_lists(g, e, measure).select("u", "v", "w", sim.alias("sim"))
     stats = ApproxStats(
         n_edges_approx=n_approx,
         n_edges_exact=g.num_edges() - n_approx,
         n_vertices_sketched=n_sketched,
         degree_threshold=thr,
     )
-    return sims, stats, approx_edges
+    return sims, stats, cache
 
 
 def build_approx_index(
@@ -112,12 +118,10 @@ def build_approx_index(
 
     Queries against the returned index are *identical in cost* to exact
     queries — only construction (what Figures 8–10 measure) changes.
-    The cached approximated edges are the index's build cache, released
-    by its persist() once NO no longer reads them.
+    The stored list-joined edges and sketches are the index's build
+    cache, released by its persist() once NO no longer reads them.
     """
-    sims, stats, approx_edges = _approx_similarities(
-        g, k, measure, seed, use_degree_heuristic
-    )
+    sims, stats, cache = _approx_similarities(g, k, measure, seed, use_degree_heuristic)
     idx = build_index(g, measure, similarities=sims)
-    idx.build_cache = approx_edges
+    idx.build_cache = cache
     return idx, stats

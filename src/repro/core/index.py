@@ -43,9 +43,10 @@ class SCANIndex:
     neighbor_order: DataFrame  # (u, v, sim, rank) — rank >= 2, self implicit
     num_vertices: int
     measure: str
-    # A frame the build cached because NO's plan reads it several times;
-    # persist() and unpersist() release it. Not part of the index.
-    build_cache: DataFrame | None = field(default=None, repr=False, compare=False)
+    # Frames the build stored (cached or checkpointed) because NO's plan
+    # reads them several times; persist() and unpersist() release them.
+    # Not part of the index.
+    build_cache: list[DataFrame] = field(default_factory=list, repr=False, compare=False)
 
     @property
     def core_order(self) -> DataFrame:
@@ -74,17 +75,14 @@ class SCANIndex:
 
     def unpersist(self) -> None:
         """Free the checkpointed NO blocks; later queries on this index
-        fail. ``DataFrame.unpersist`` does not reach a checkpoint, so
-        the checkpointed RDD under NO's plan is released instead."""
-        plan = self.neighbor_order._jdf.queryExecution().logical()
-        if plan.getClass().getSimpleName() == "LogicalRDD":
-            plan.rdd().unpersist(True)
+        fail."""
+        release(self.neighbor_order)
         self._release_build_cache()
 
     def _release_build_cache(self) -> None:
-        if self.build_cache is not None:
-            self.build_cache.unpersist()
-            self.build_cache = None
+        for df in self.build_cache:
+            release(df)
+        self.build_cache = []
 
     # -- filesystem persistence (the "index" artifact) ----------------
 
@@ -106,6 +104,19 @@ class SCANIndex:
             num_vertices=meta["num_vertices"],
             measure=meta["measure"],
         )
+
+
+def release(df: DataFrame) -> None:
+    """Free the blocks ``df`` stored, whether cached or checkpointed.
+
+    ``DataFrame.unpersist`` does not reach a checkpoint, so for a
+    checkpointed frame the RDD under its plan is released instead.
+    """
+    plan = df._jdf.queryExecution().logical()
+    if plan.getClass().getSimpleName() == "LogicalRDD":
+        plan.rdd().unpersist(True)
+    else:
+        df.unpersist(blocking=True)
 
 
 def neighbor_order_from_similarities(similarities: DataFrame) -> DataFrame:

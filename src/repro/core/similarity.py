@@ -15,8 +15,9 @@ Every edge is joined to both endpoints' sorted neighbor lists
 (:mod:`repro.graph.triangles`): d = size(list) and t is the size of
 the lists' intersection, so all edges' similarities come from one Spark
 plan. Weighted cosine also explodes the common ids to look up the two
-weights of each. The full build, the §6.3 exact probe and the ppSCAN
-baseline's undecided edges all run this one function.
+weights of each. The full build, the §6.3 exact side of the approximate
+build and the ppSCAN baseline's undecided edges all apply the one
+formula of :func:`similarities_from_lists`.
 """
 from __future__ import annotations
 
@@ -34,17 +35,23 @@ from repro.graph.triangles import (
 MEASURES = ("cosine", "jaccard", "wcosine")
 
 
-def _similarities(g: UndirectedGraph, edges: DataFrame, measure: str) -> DataFrame:
-    """(u, v, w, sim) for every row of ``edges`` (u, v, w)."""
+def similarities_from_lists(g: UndirectedGraph, e: DataFrame, measure: str) -> DataFrame:
+    """Exact similarity of every row of ``e``, a frame of
+    :func:`~repro.graph.triangles.with_neighbor_lists` that may carry
+    more columns: e's columns but the two lists, plus ``sim``.
+
+    The one formula per measure: the full build, the §6.3 fallback of
+    the approximate build and ppSCAN's undecided edges all run it.
+    """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}; expected one of {MEASURES}")
-    e = with_neighbor_lists(g, edges)
+    rest = [c for c in e.columns if c not in ("nu", "nv")]
     if measure == "wcosine":
-        cw = common_neighbor_weights(g, e).groupBy(
-            "u", "v", "w", "norm_u", "norm_v"
-        ).agg(F.coalesce(F.sum(F.col("wux") * F.col("wvx")), F.lit(0.0)).alias("cw"))
+        cw = common_neighbor_weights(g, e).groupBy(*rest).agg(
+            F.coalesce(F.sum(F.col("wux") * F.col("wvx")), F.lit(0.0)).alias("cw")
+        )
         sim = (2 * F.col("w") + F.col("cw")) / (F.col("norm_u") * F.col("norm_v"))
-        return cw.select("u", "v", "w", sim.alias("sim"))
+        return cw.select(*rest, sim.alias("sim"))
     shared = F.size(F.array_intersect("nu", "nv")).cast("long") + 2  # |closed ∩|
     du = F.size("nu").cast("long")
     dv = F.size("nv").cast("long")
@@ -52,7 +59,13 @@ def _similarities(g: UndirectedGraph, edges: DataFrame, measure: str) -> DataFra
         sim = shared / F.sqrt((du + 1) * (dv + 1))
     else:  # jaccard
         sim = shared / (du + dv + 2 - shared)
-    return e.select("u", "v", "w", sim.alias("sim"))
+    return e.select(*rest, sim.alias("sim"))
+
+
+def _similarities(g: UndirectedGraph, edges: DataFrame, measure: str) -> DataFrame:
+    """(u, v, w, sim) for every row of ``edges`` (u, v, w)."""
+    e = with_neighbor_lists(g, edges)
+    return similarities_from_lists(g, e, measure).select("u", "v", "w", "sim")
 
 
 def edge_similarities(g: UndirectedGraph, measure: str = "cosine") -> DataFrame:
@@ -69,9 +82,8 @@ def similarities_for_edges(
 ) -> DataFrame:
     """Exact similarity restricted to ``subset`` (columns u, v, u < v).
 
-    Used by the approximation heuristic (exact similarities for
-    low-degree edges, §6.3) and the ppSCAN baseline (only undecided
-    edges need exact computation).
+    Used by the ppSCAN baseline: only its undecided edges need exact
+    computation.
     """
     edges = subset.select("u", "v").join(broadcast_if_small(g)(g.edges), ["u", "v"])
     return _similarities(g, edges, measure)

@@ -18,15 +18,16 @@ bit-identically; only equality is ever compared).
 """
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
+from pyspark.sql import Column, DataFrame
 from pyspark.sql.functions import pandas_udf
 
 from repro.graph.graphframe import UndirectedGraph
 from repro.lsh.hashing import hash_tuple
-from repro.lsh.simhash import _closed_adjacency
+from repro.lsh.simhash import sketch_vertices, with_sketches
 
 EMPTY = -1  # OPH empty-bin sentinel (hash div k is always >= 0)
 
@@ -42,19 +43,12 @@ def minhash_sketches(
     if variant not in ("standard", "oph"):
         raise ValueError(f"unknown MinHash variant {variant!r}")
 
-    def sketch_standard(pdf: pd.DataFrame) -> pd.DataFrame:
-        xs = pdf["v"].to_numpy(np.uint64)
+    def sketch_standard(xs: np.ndarray, w: np.ndarray) -> list[int]:
         j = np.arange(k, dtype=np.uint64)
         h = hash_tuple(seed, xs[:, None], j[None, :], salt=0x7A)  # (d, k)
-        return pd.DataFrame(
-            {
-                "v": [int(pdf["u"].iloc[0])],
-                "sketch": [h.min(axis=0).view(np.int64).tolist()],
-            }
-        )
+        return h.min(axis=0).view(np.int64).tolist()
 
-    def sketch_oph(pdf: pd.DataFrame) -> pd.DataFrame:
-        xs = pdf["v"].to_numpy(np.uint64)
+    def sketch_oph(xs: np.ndarray, w: np.ndarray) -> list[int]:
         h = hash_tuple(seed, xs, salt=0x7B)
         bins = (h % np.uint64(k)).astype(np.int64)
         vals = (h // np.uint64(k)).view(np.int64)  # < 2**63 for k >= 2
@@ -63,42 +57,38 @@ def minhash_sketches(
         hi = np.iinfo(np.int64).max
         out = np.full(k, hi, dtype=np.int64)
         np.minimum.at(out, bins, vals)
-        out = np.where(out == hi, EMPTY, out)
-        return pd.DataFrame(
-            {"v": [int(pdf["u"].iloc[0])], "sketch": [out.tolist()]}
-        )
+        return np.where(out == hi, EMPTY, out).tolist()
 
     fn = sketch_standard if variant == "standard" else sketch_oph
-    return (
-        _closed_adjacency(g, scope)
-        .groupBy("u")
-        .applyInPandas(fn, schema="v long, sketch array<long>")
-    )
+    return sketch_vertices(g, scope, fn, "v long, sketch array<long>")
+
+
+def minhash_estimator(k: int, variant: str = "oph") -> Callable[[str, str], Column]:
+    """Estimated Jaccard of two sketch columns; NaN where either is null."""
+
+    @pandas_udf("double")
+    def est(sa: pd.Series, sb: pd.Series) -> pd.Series:
+        out = np.full(len(sa), np.nan)
+        both = (sa.notna() & sb.notna()).to_numpy()
+        if both.any():
+            a = np.vstack(sa[both].to_numpy())
+            b = np.vstack(sb[both].to_numpy())
+            if variant == "standard":
+                out[both] = (a == b).mean(axis=1)
+            else:
+                both_empty = ((a == EMPTY) & (b == EMPTY)).sum(axis=1)
+                match = ((a == b) & (a != EMPTY)).sum(axis=1)
+                out[both] = match / np.maximum(k - both_empty, 1)
+        return pd.Series(out)
+
+    return est
 
 
 def minhash_edge_similarities(
     edges: DataFrame, sketches: DataFrame, k: int, variant: str = "oph"
 ) -> DataFrame:
     """(u, v, sim) — estimated Jaccard similarity for each edge row."""
-
-    @pandas_udf("double")
-    def est(sa: pd.Series, sb: pd.Series) -> pd.Series:
-        if sa.empty:
-            return pd.Series([], dtype=float)
-        a = np.vstack(sa.to_numpy())
-        b = np.vstack(sb.to_numpy())
-        if variant == "standard":
-            return pd.Series((a == b).mean(axis=1))
-        both_empty = ((a == EMPTY) & (b == EMPTY)).sum(axis=1)
-        match = ((a == b) & (a != EMPTY)).sum(axis=1)
-        denom = np.maximum(k - both_empty, 1)
-        return pd.Series(match / denom)
-
-    return (
-        edges.select("u", "v")
-        .join(
-            sketches.select(F.col("v").alias("u"), F.col("sketch").alias("sk_u")), "u"
-        )
-        .join(sketches.select("v", F.col("sketch").alias("sk_v")), "v")
-        .select("u", "v", est("sk_u", "sk_v").alias("sim"))
+    est = minhash_estimator(k, variant)
+    return with_sketches(edges.select("u", "v"), sketches).select(
+        "u", "v", est("sk_u", "sk_v").alias("sim")
     )

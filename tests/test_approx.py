@@ -11,6 +11,8 @@ from repro.core.approx import (
 from repro.core.index import build_index
 from repro.core.query import query_clusters
 from repro.core.similarity import edge_similarities
+from repro.lsh.minhash import minhash_edge_similarities, minhash_sketches
+from repro.lsh.simhash import simhash_edge_similarities, simhash_sketches
 
 
 def test_degree_thresholds_match_paper():
@@ -133,3 +135,42 @@ def test_invalid_measure_raises(sbm_small):
 def test_stats_fields(dense_small):
     _, stats = approx_edge_similarities(dense_small, k=8, measure="jaccard")
     assert stats.degree_threshold == 12.0  # 3k/2
+
+
+@pytest.mark.parametrize(
+    "graph, measure, k",
+    # k such that the threshold (k, or 3k/2 for Jaccard) splits the edges
+    [("dense_small", "cosine", 12), ("dense_small", "jaccard", 8), ("weighted_small", "wcosine", 8)],
+)
+def test_approx_build_equals_its_building_blocks(request, graph, measure, k):
+    """The one-pass build gives, bit for bit, the public sketch and
+    estimate functions' similarity on the approximated edges and the
+    exact build's on the rest."""
+    g = request.getfixturevalue(graph)
+    seed = 3
+    idx, stats = build_approx_index(g, k, measure, seed=seed)
+    got = (
+        idx.neighbor_order.where(F.col("u") < F.col("v"))
+        .select("u", "v", "sim")
+        .toPandas()
+        .set_index(["u", "v"])["sim"]
+    )
+    idx.unpersist()
+    thr = degree_threshold(measure, k)
+    deg = g.degrees()
+    approx = (
+        g.edges.join(deg.select(F.col("v").alias("u"), F.col("deg").alias("du")), "u")
+        .join(deg.select("v", F.col("deg").alias("dv")), "v")
+        .where((F.col("du") > thr) & (F.col("dv") > thr))
+        .select("u", "v")
+    )
+    scope = approx.select(F.col("u").alias("v")).union(approx.select("v")).distinct()
+    if measure == "jaccard":
+        est = minhash_edge_similarities(approx, minhash_sketches(g, k, seed, scope=scope), k)
+    else:
+        est = simhash_edge_similarities(approx, simhash_sketches(g, k, seed, scope=scope), k)
+    est = est.toPandas().set_index(["u", "v"])["sim"]
+    want = edge_similarities(g, measure).toPandas().set_index(["u", "v"])["sim"]
+    assert 0 < len(est) == stats.n_edges_approx < len(want)  # a mixed split
+    want.loc[est.index] = est
+    assert got.sort_index().equals(want.sort_index())

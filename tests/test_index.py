@@ -4,7 +4,7 @@ import dataclasses
 import pytest
 
 from repro.baselines.gs_index_seq import SequentialGSIndex
-from repro.core.approx import build_approx_index
+from repro.core.approx import approx_edge_similarities, build_approx_index
 from repro.core.index import SCANIndex, build_index
 from repro.core.query import query_clusters
 
@@ -128,6 +128,21 @@ def test_build_is_few_spark_jobs(spark, sbm_small):
     assert len(sc.statusTracker().getJobIdsForGroup("test_build_is_few_spark_jobs")) <= 8
 
 
+def test_approx_build_is_few_spark_jobs(spark, dense_small):
+    """The SimHash build is one pass over the list-joined edges: store
+    them and count the approximated ones, sketch the vertices in scope
+    once into a checkpoint, then one NO plan and its checkpoint."""
+    sc = spark.sparkContext
+    sc.setJobGroup("test_approx_build_is_few_spark_jobs", "approx build")
+    try:
+        idx = build_approx_index(dense_small, 4, "cosine")[0].persist()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    idx.unpersist()
+    jobs = sc.statusTracker().getJobIdsForGroup("test_approx_build_is_few_spark_jobs")
+    assert len(jobs) <= 18
+
+
 def _cached_rdd_ids(spark) -> set[int]:
     return {i.id() for i in spark.sparkContext._jsc.sc().getRDDStorageInfo()}
 
@@ -146,6 +161,17 @@ def test_unpersist_frees_everything_the_build_cached(spark, sbm_small, kind):
     assert _cached_rdd_ids(spark) - before == set()
     with pytest.raises(Exception, match="CHECKPOINT_RDD_BLOCK_ID_NOT_FOUND"):
         query_clusters(idx, 3, 0.5)
+
+
+def test_approx_edge_similarities_leaves_only_its_result_stored(spark, dense_small):
+    """The list-joined edges and the sketch checkpoint are released
+    inside the call; unpersisting the returned frame frees the rest."""
+    before = _cached_rdd_ids(spark)
+    sims, stats = approx_edge_similarities(dense_small, 8, "cosine")
+    assert stats.n_edges_approx > 0  # the sketch checkpoint was made
+    assert len(_cached_rdd_ids(spark) - before) == 1
+    sims.unpersist(blocking=True)
+    assert _cached_rdd_ids(spark) - before == set()
 
 
 def test_build_with_given_similarities(fig1, spark):

@@ -1,10 +1,13 @@
 """SimHash sketches and cosine estimation: determinism, statistical
 convergence, and the Theorem-5.2 classification property."""
 import numpy as np
+import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
 from repro.core.similarity import edge_similarities
+from repro.lsh.hashing import gaussians, hash_tuple
+from repro.lsh.minhash import EMPTY, minhash_sketches
 from repro.lsh.simhash import simhash_edge_similarities, simhash_sketches
 
 
@@ -104,3 +107,60 @@ def test_scope_restricts_sketched_vertices(fig1, spark):
     scope = spark.createDataFrame(pd.DataFrame({"v": [1, 2, 3]}))
     sk = simhash_sketches(fig1, 16, 0, scope=scope).toPandas()
     assert set(sk["v"]) == {1, 2, 3}
+
+
+@pytest.fixture
+def arrow_batches_of_7(spark):
+    key = "spark.sql.execution.arrow.maxRecordsPerBatch"
+    old = spark.conf.get(key)
+    spark.conf.set(key, "7")
+    yield
+    spark.conf.set(key, old)
+
+
+def _reference_sketch(scheme: str, xs: np.ndarray, w: np.ndarray, k: int, seed: int):
+    """One vertex's sketch computed on the driver from lsh/hashing.py."""
+    if scheme == "simhash":
+        return np.packbits(w @ gaussians(seed, xs, k) >= 0.0).tobytes()
+    if scheme == "standard":
+        j = np.arange(k, dtype=np.uint64)
+        h = hash_tuple(seed, xs[:, None], j[None, :], salt=0x7A)
+        return h.min(axis=0).view(np.int64).tolist()
+    out = [EMPTY] * k  # oph: the minimum of h div k in bin h mod k
+    for h in hash_tuple(seed, xs, salt=0x7B):
+        b, val = int(h % np.uint64(k)), int(h // np.uint64(k))
+        out[b] = val if out[b] == EMPTY else min(out[b], val)
+    return out
+
+
+@pytest.mark.parametrize("scheme", ["simhash", "standard", "oph"])
+def test_sketches_whole_across_arrow_batches(spark, weighted_small, arrow_batches_of_7, scheme):
+    """With 7-row Arrow batches most closed neighborhoods straddle two
+    batches; each vertex still gets one sketch, of its whole closed
+    neighborhood."""
+    g, k, seed = weighted_small, 24, 3
+    scope_ids = list(range(1, g.num_vertices + 1, 2))
+    scope = spark.createDataFrame(pd.DataFrame({"v": scope_ids}))
+    if scheme == "simhash":
+        sk = simhash_sketches(g, k, seed, scope=scope)
+    else:
+        sk = minhash_sketches(g, k, seed, variant=scheme, scope=scope)
+    got = sk.toPandas()
+    assert sorted(got["v"]) == scope_ids
+    pdf = g.to_pandas()
+    closed = pd.concat(
+        [
+            pdf,
+            pdf.rename(columns={"u": "v", "v": "u"}),
+            pd.DataFrame({"u": scope_ids, "v": scope_ids, "w": 1.0}),
+        ]
+    ).sort_values(["u", "v"])
+    for v, sketch in zip(got["v"], got["sketch"]):
+        rows = closed[closed["u"] == v]
+        want = _reference_sketch(
+            scheme, rows["v"].to_numpy(np.uint64), rows["w"].to_numpy(np.float64), k, seed
+        )
+        if scheme == "simhash":
+            assert bytes(sketch) == want
+        else:
+            assert list(sketch) == want
