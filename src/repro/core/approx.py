@@ -12,11 +12,13 @@ The build is one pass over the edges joined to both endpoints' sorted
 neighbor lists (:func:`repro.graph.triangles.with_neighbor_lists`),
 stored once: a degree is a list's size, so the split needs no degree
 table. Only vertices with an approximated incident edge are sketched,
-into one checkpointed sketch frame that is broadcast into the estimate
-joins. Each edge then takes the sketch estimate if it is approximated
-and otherwise the exact formula of
-:func:`repro.core.similarity.similarities_from_lists` over the same
-row's lists, so there is no second neighbor-list plan and no union.
+into one checkpointed sketch frame. The exact formula of
+:func:`repro.core.similarity.similarities_from_lists` runs over every
+row's lists, an approximated edge's with an empty nv so that it
+intersects (and, for weighted cosine, explodes) nothing. The broadcast
+sketches are joined to that result, and each edge takes the sketch
+estimate if it is approximated and the exact value otherwise: no second
+neighbor-list plan and no union.
 """
 from __future__ import annotations
 
@@ -82,8 +84,9 @@ def _approx_similarities(
     cache = [e]
     n_approx = e.where("approx").count()
     n_sketched = 0
-    sim = F.col("sim")
-    if n_approx > 0:
+    if n_approx == 0:
+        sims = similarities_from_lists(g, e, measure)
+    else:
         scope = e.where("approx").select(F.explode(F.array("u", "v")).alias("v")).distinct()
         if measure == "jaccard":
             sk = minhash_sketches(g, k, seed, scope=scope)
@@ -94,17 +97,23 @@ def _approx_similarities(
         sk = sk.localCheckpoint(eager=True)
         cache.append(sk)
         n_sketched = sk.count()
+        # An approximated edge's exact value is discarded, so it gets an
+        # empty nv: no common neighbors to intersect (or, for wcosine,
+        # to explode and aggregate).
+        nv = F.when(F.col("approx"), F.array().cast("array<long>")).otherwise(F.col("nv"))
+        exact = similarities_from_lists(g, e.withColumn("nv", nv), measure)
         # Left joins: an exact edge has an endpoint without a sketch.
-        e = with_sketches(e, sk, "left", broadcast_if_small(g))
-        sim = F.when(F.col("approx"), est("sk_u", "sk_v")).otherwise(sim)
-    sims = similarities_from_lists(g, e, measure).select("u", "v", "w", sim.alias("sim"))
+        sims = with_sketches(exact, broadcast_if_small(g)(sk), "left")
+        sims = sims.withColumn(
+            "sim", F.when(F.col("approx"), est("sk_u", "sk_v")).otherwise(F.col("sim"))
+        )
     stats = ApproxStats(
         n_edges_approx=n_approx,
         n_edges_exact=g.num_edges() - n_approx,
         n_vertices_sketched=n_sketched,
         degree_threshold=thr,
     )
-    return sims, stats, cache
+    return sims.select("u", "v", "w", "sim"), stats, cache
 
 
 def build_approx_index(

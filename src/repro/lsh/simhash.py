@@ -88,22 +88,14 @@ def simhash_sketches(
     return sketch_vertices(g, scope, sketch, "v long, sketch binary")
 
 
-def with_sketches(
-    edges: DataFrame,
-    sketches: DataFrame,
-    how: str = "inner",
-    hint: Callable[[DataFrame], DataFrame] = lambda df: df,
-) -> DataFrame:
+def with_sketches(edges: DataFrame, sketches: DataFrame, how: str = "inner") -> DataFrame:
     """``edges`` joined to both endpoints' sketches, as (sk_u, sk_v).
 
-    With ``how="left"`` an endpoint without a sketch gets a null one;
-    ``hint`` wraps the sketch side of both joins (e.g. a broadcast).
+    With ``how="left"`` an endpoint without a sketch gets a null one.
     """
     return edges.join(
-        hint(sketches.select(F.col("v").alias("u"), F.col("sketch").alias("sk_u"))),
-        "u",
-        how,
-    ).join(hint(sketches.select("v", F.col("sketch").alias("sk_v"))), "v", how)
+        sketches.select(F.col("v").alias("u"), F.col("sketch").alias("sk_u")), "u", how
+    ).join(sketches.select("v", F.col("sketch").alias("sk_v")), "v", how)
 
 
 def _hamming(col_a: pd.Series, col_b: pd.Series, k: int) -> np.ndarray:
