@@ -47,10 +47,9 @@ class SequentialGSIndex:
     ) -> "SequentialGSIndex":
         """Index over externally computed per-edge similarities.
 
-        ``edges_with_sim``: canonical (u, v[, w], sim). Used by the
-        Figure 9/10 quality sweeps: Spark computes (exact or LSH)
-        similarities — the part the experiment times — and this driver-
-        side index answers the dense (mu, eps) parameter grid quickly.
+        ``edges_with_sim``: canonical (u, v[, w], sim). The benchmark
+        uses it as an independent oracle for an approximate build: it
+        orders and queries the index's own similarities sequentially.
         """
         idx = SequentialGSIndex(
             edges_with_sim.drop(columns=["sim"]), num_vertices, measure="given"

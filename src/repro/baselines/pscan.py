@@ -27,7 +27,7 @@ from __future__ import annotations
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.query import ClusteringResult, assemble_clustering
+from repro.core.query import ClusteringResult, assemble_from_edges
 from repro.core.similarity import similarities_for_edges
 from repro.graph.graphframe import UndirectedGraph
 
@@ -92,8 +92,9 @@ def pscan_query(
     sim_from_cores = sym.join(
         F.broadcast(cores.withColumnRenamed("v", "u")), "u", "left_semi"
     )
-    # assemble_clustering collects inside the timed call; the scratch
-    # similar-edge cache is free to go once it returns.
-    result = assemble_clustering(cores, sim_from_cores, mu, eps)
+    # One collect of the eps-edges out of cores; the index query's
+    # driver assembly finishes the clustering. The scratch similar-edge
+    # cache is free to go once the edges are on the driver.
+    e = sim_from_cores.toPandas()
     sym.unpersist()
-    return result
+    return assemble_from_edges(e["u"], e["v"], e["sim"], mu, eps, g.spark)

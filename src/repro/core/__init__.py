@@ -4,6 +4,8 @@
   (cosine / Jaccard / weighted cosine) via neighbor-list intersection.
 - :mod:`repro.core.index` — the GS*-Index structures (neighbor order,
   core order) built in parallel; Parquet persistence.
+- :mod:`repro.core.arrays` — the index's sorted NO/CO arrays on the
+  driver, which queries search.
 - :mod:`repro.core.query` — cluster retrieval for arbitrary (mu, eps).
 - :mod:`repro.core.hubs` — hub/outlier classification.
 - :mod:`repro.core.approx` — LSH-approximate index construction with

@@ -16,12 +16,13 @@ row (mu, v, threshold=sim) of CO. So only NO is stored (O(m) rows);
 CO is a column projection of it, derived on read.
 
 Construction ends with ``SCANIndex.persist()``, an eager local
-checkpoint: NO's rows are stored and its lineage is cut, so a query
-plans over the stored rows only and never re-plans the neighbor-list,
-similarity and window passes. The index also saves as one Parquet
-dataset plus a small metadata file. Construction (expensive) is paid
-once and queries (cheap) are paid per (mu, eps) — the paper's whole
-point.
+checkpoint: NO's rows are stored and its lineage is cut. The stored
+rows are then collected once into sorted arrays on the driver
+(:mod:`repro.core.arrays`), which answer every query without a Spark
+job. The index also saves as one Parquet dataset plus a small metadata
+file; loading it validates the rows and builds the same arrays.
+Construction (expensive) is paid once and queries (cheap) are paid per
+(mu, eps) — the paper's whole point.
 """
 from __future__ import annotations
 
@@ -32,6 +33,7 @@ from dataclasses import dataclass, field
 from pyspark.sql import DataFrame, SparkSession, Window
 from pyspark.sql import functions as F
 
+from repro.core.arrays import IndexArrays, validate_rows
 from repro.core.similarity import edge_similarities
 from repro.graph.graphframe import UndirectedGraph
 
@@ -47,6 +49,10 @@ class SCANIndex:
     # reads them several times; persist() and unpersist() release them.
     # Not part of the index.
     build_cache: list[DataFrame] = field(default_factory=list, repr=False, compare=False)
+    # The driver's sorted copy of NO and CO that queries read; made by
+    # persist() and load(), dropped by unpersist().
+    _arrays: IndexArrays | None = field(default=None, init=False, repr=False, compare=False)
+    _released: bool = field(default=False, init=False, repr=False, compare=False)
 
     @property
     def core_order(self) -> DataFrame:
@@ -61,23 +67,45 @@ class SCANIndex:
     def spark(self) -> SparkSession:
         return self.neighbor_order.sparkSession
 
+    @property
+    def arrays(self) -> IndexArrays:
+        """The driver's sorted NO and CO, which queries read.
+
+        persist() and load() make them; an index queried before either
+        collects its NO here, once. Raises IndexReleasedError after
+        unpersist().
+        """
+        if self._released:
+            raise IndexReleasedError(
+                "this SCAN index was released by unpersist(); build or load it again"
+            )
+        if self._arrays is None:
+            self._arrays = self._collect_arrays()
+        return self._arrays
+
+    def _collect_arrays(self) -> IndexArrays:
+        return IndexArrays.from_rows(self.neighbor_order.toPandas(), self.num_vertices)
+
     def persist(self) -> "SCANIndex":
         """Materialize NO and cut its lineage (ends "construction").
 
         An eager local checkpoint stores NO's rows in the block manager
         and replaces the neighbor-list/similarity/window plan by a scan of
-        those rows, so a query plans and runs over the stored index
-        only, as it does over a Parquet-loaded one.
+        those rows. The stored rows are then collected once into the
+        driver's sorted arrays, so queries run no Spark job.
         """
         self.neighbor_order = self.neighbor_order.localCheckpoint(eager=True)
         self._release_build_cache()
+        self._arrays = self._collect_arrays()
         return self
 
     def unpersist(self) -> None:
-        """Free the checkpointed NO blocks; later queries on this index
-        fail."""
+        """Free the checkpointed NO blocks and the driver's arrays; later
+        queries on this index raise IndexReleasedError."""
         release(self.neighbor_order)
         self._release_build_cache()
+        self._arrays = None
+        self._released = True
 
     def _release_build_cache(self) -> None:
         for df in self.build_cache:
@@ -97,13 +125,32 @@ class SCANIndex:
 
     @staticmethod
     def load(spark: SparkSession, path: str) -> "SCANIndex":
+        """Read a saved index and build its driver arrays.
+
+        Raises ValueError when the stored NO is not a well-formed
+        neighbor order over the saved vertex count (ids out of range,
+        ranks not 2..deg+1, similarity rising along the ranks, or a row
+        without its mirror), so a corrupt or mismatched artifact never
+        answers a query.
+        """
         with open(os.path.join(path, "meta.json")) as f:
             meta = json.load(f)
-        return SCANIndex(
+        index = SCANIndex(
             neighbor_order=spark.read.parquet(os.path.join(path, "neighbor_order")),
             num_vertices=meta["num_vertices"],
             measure=meta["measure"],
         )
+        rows = index.neighbor_order.toPandas()
+        try:
+            validate_rows(rows, index.num_vertices)
+        except ValueError as e:
+            raise ValueError(f"index at {path}: {e}") from e
+        index._arrays = IndexArrays.from_rows(rows, index.num_vertices)
+        return index
+
+
+class IndexReleasedError(RuntimeError):
+    """A query on an index whose stored rows unpersist() freed."""
 
 
 def release(df: DataFrame) -> None:

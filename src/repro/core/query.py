@@ -1,50 +1,63 @@
 """Cluster queries against the SCAN index (paper §4.2, Algorithms 3–5).
 
-A query (mu, eps) does no similarity computation: cores are a threshold
-filter on CO[mu], eps-similar edges a threshold filter on NO prefixes
-(the paper's doubling searches — on DataFrames a predicate filter is
-the data-parallel prefix extraction). Both filters form one plan over
-the persisted index, whose lineage ends at its checkpoint: the NO rows
-with sim >= eps, left-semi-joined to the broadcast CO[mu] prefix. That
-plan is collected once; connectivity then runs on the induced core
-subgraph with driver-side union-find (as in the paper's own
-implementation, §6.2), and border non-cores attach to a neighboring
-eps-similar core. Border assignment is the deterministic variant the
-paper uses for its quality measurements (§7.3.4): most similar core,
-ties to the lower core id. Cluster ids are canonical: the minimum core
-id in the component.
+A query (mu, eps) does no similarity computation and runs no Spark job.
+It reads the index's sorted arrays on the driver
+(:mod:`repro.core.arrays`): cores are one binary search over CO[mu]
+(the paper's doubling search), and each core's eps-similar edges are
+its NO prefix, found for all cores by one binary search over integer
+keys whose comparisons with eps are exact. By Theorem 4.3 those edges
+are bounded by the output clusters. Connectivity then runs on the
+induced core subgraph with driver-side union-find (as in the paper's
+own implementation, §6.2), and border non-cores attach to a
+neighboring eps-similar core. Border assignment is the deterministic
+variant the paper uses for its quality measurements (§7.3.4): most
+similar core, ties to the lower core id. Cluster ids are canonical:
+the minimum core id in the component.
+
+:func:`get_cores` and :func:`similar_edges_from_cores` are the same two
+steps as a Spark plan over the stored NO. They are no longer on the
+query path; they stay as the reference plan for tests and the traced
+benchmark run.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.cc.union_find import components_from_edges
+from repro.cc.union_find import min_labels
 from repro.core.index import SCANIndex
 
 
-@dataclass
+@dataclass(eq=False)
 class ClusteringResult:
-    """Output of one SCAN query.
+    """Output of one SCAN query, on the driver where it was assembled.
 
-    ``assignments_pdf``: (v, cluster, is_core) for every *clustered*
-    vertex (cores and borders), on the driver where the query assembled
-    it; unclustered vertices are absent. ``cluster`` is the minimum
-    core id of the cluster's core component.
+    ``v``, ``cluster`` and ``is_core`` have one entry per *clustered*
+    vertex (cores first, then borders, each ascending by id);
+    unclustered vertices are absent. ``cluster`` is the minimum core id
+    of the cluster's core component.
     """
 
-    assignments_pdf: pd.DataFrame
+    v: np.ndarray
+    cluster: np.ndarray
+    is_core: np.ndarray
     mu: int
     eps: float
-    spark: SparkSession = field(repr=False, compare=False)
+    spark: SparkSession = field(repr=False)
+
+    @cached_property
+    def assignments_pdf(self) -> pd.DataFrame:
+        """(v, cluster, is_core) as a pandas frame, made on first use."""
+        return pd.DataFrame({"v": self.v, "cluster": self.cluster, "is_core": self.is_core})
 
     @cached_property
     def assignments(self) -> DataFrame:
-        """``assignments_pdf`` as a Spark DataFrame, made on first use:
+        """(v, cluster, is_core) as a Spark DataFrame, made on first use:
         a query read through :meth:`labels_pandas` never uploads it."""
         return self.spark.createDataFrame(
             self.assignments_pdf, "v long, cluster long, is_core boolean"
@@ -52,18 +65,17 @@ class ClusteringResult:
 
     def labels_pandas(self) -> dict[int, int]:
         """{vertex: cluster} for clustered vertices (no Spark job)."""
-        pdf = self.assignments_pdf
-        return dict(zip(pdf["v"].tolist(), pdf["cluster"].tolist()))
+        return dict(zip(self.v.tolist(), self.cluster.tolist()))
 
 
 def get_cores(index: SCANIndex, mu: int, eps: float) -> DataFrame:
-    """Core vertices under (mu, eps): prefix of CO[mu] (Algorithm 3).
+    """Core vertices under (mu, eps) as a Spark plan: the prefix of
+    CO[mu] (Algorithm 3). A reference plan, not the query path.
 
     mu counts the vertex itself (eps-neighborhoods are closed), so
     mu=2 means "at least one eps-similar neighbor".
     """
-    if mu < 2:
-        raise ValueError("SCAN requires mu >= 2")
+    _check_mu(mu)
     return index.core_order.where(
         (F.col("mu") == mu) & (F.col("threshold") >= eps)
     ).select("v")
@@ -72,7 +84,8 @@ def get_cores(index: SCANIndex, mu: int, eps: float) -> DataFrame:
 def similar_edges_from_cores(
     index: SCANIndex, cores: DataFrame, eps: float
 ) -> DataFrame:
-    """Directed eps-similar edges out of cores: (u=core, v, sim).
+    """Directed eps-similar edges out of cores as a Spark plan: (u=core,
+    v, sim). A reference plan, not the query path.
 
     NO prefixes per core vertex (line 4 of Algorithm 5); excludes the
     implicit self entry (NO ranks start at 2). The cores only select
@@ -85,55 +98,72 @@ def similar_edges_from_cores(
     )
 
 
+def assemble_from_edges(
+    u: np.ndarray, v: np.ndarray, sim: np.ndarray, mu: int, eps: float,
+    spark: SparkSession,
+) -> ClusteringResult:
+    """Clusters from the directed eps-similar edges out of cores, on the
+    driver.
+
+    ``(u, v, sim)`` arrays hold every core u and every v with
+    sigma(u, v) >= eps (both directions present for core-core pairs).
+    Shared by the index query and the ppSCAN-style per-query baseline,
+    which differ only in how they obtain these edges. With mu >= 2 every
+    core has at least mu - 1 >= 1 eps-similar neighbor, so the cores are
+    exactly the distinct ``u``. Union-find labels the core components
+    with their minimum core id (paper §6.2); ``spark`` only makes
+    ``ClusteringResult.assignments``.
+    """
+    u = np.asarray(u, np.int64)
+    v = np.asarray(v, np.int64)
+    sim = np.asarray(sim, np.float64)
+    # Tables indexed by vertex id: is_core, and slot, a core's position
+    # among the cores in ascending id order (set for cores only).
+    size = int(max(u.max(initial=0), v.max(initial=0))) + 1
+    is_core = np.zeros(size, bool)
+    is_core[u] = True
+    cores = np.flatnonzero(is_core)
+    slot = np.empty(size, np.int64)
+    slot[cores] = np.arange(len(cores))
+    to_core = is_core[v]
+    cc = to_core & (u < v)  # core-core edges, each once
+    core_cluster = cores[min_labels(slot[u[cc]], slot[v[cc]], len(cores))]
+    # Border non-cores (Algorithm 4), deterministic rule: most similar
+    # core first, ties to the lower core id (paper §7.3.4).
+    border = ~to_core
+    bu, bv, bsim = u[border], v[border], sim[border]
+    order = np.lexsort((bu, -bsim, bv))
+    bu, bv = bu[order], bv[order]
+    first = np.ones(len(bv), bool)
+    first[1:] = bv[1:] != bv[:-1]
+    border_cluster = core_cluster[slot[bu[first]]]
+    return ClusteringResult(
+        v=np.concatenate((cores, bv[first])),
+        cluster=np.concatenate((core_cluster, border_cluster)),
+        is_core=np.repeat((True, False), (len(cores), len(border_cluster))),
+        mu=mu, eps=eps, spark=spark,
+    )
+
+
 def assemble_clustering(
     cores: DataFrame, sim: DataFrame, mu: int, eps: float
 ) -> ClusteringResult:
-    """Clusters from precomputed cores + directed similar edges.
-
-    ``cores``: (v), the core set ``sim`` was selected by; ``sim``: (u,
-    v, sim) for every core u and every v with sigma(u, v) >= eps (both
-    directions present for core-core pairs). Shared by the index query
-    and the ppSCAN-style per-query baseline — the two differ only in
-    how cores/similar edges are obtained.
-
-    Only ``sim`` is collected, once, and the query finishes on the
-    driver with union-find (paper §6.2). ``cores`` is not collected:
-    with mu >= 2 every core has at least mu - 1 >= 1 eps-similar
-    neighbor, so the core ids are exactly the distinct ``u`` of
-    ``sim``. By Theorem 4.3 the eps-similar edge set out of cores is
-    bounded by the output clusters, so the collect is the whole data
-    movement of the query.
-    """
-    spark = sim.sparkSession
-    sim_pdf = sim.toPandas()
-    core_set = set(sim_pdf["u"].tolist())
-    cc = sim_pdf[sim_pdf["v"].isin(core_set) & (sim_pdf["u"] < sim_pdf["v"])]
-    labels = components_from_edges(
-        edges=list(zip(cc["u"].astype(int), cc["v"].astype(int))),
-        vertices=core_set,
-    )
-    rows = [(v, c, True) for v, c in labels.items()]
-    # Border non-cores (Algorithm 4), deterministic rule: most similar
-    # core first, ties to the lower core id (paper §7.3.4).
-    borders = sim_pdf[~sim_pdf["v"].isin(core_set)]
-    if not borders.empty:
-        best = (
-            borders.sort_values(["v", "sim", "u"], ascending=[True, False, True])
-            .drop_duplicates("v")
-        )
-        rows += [
-            (int(r.v), labels[int(r.u)], False) for r in best.itertuples(index=False)
-        ]
-    pdf = pd.DataFrame(rows, columns=["v", "cluster", "is_core"]).astype(
-        {"v": "int64", "cluster": "int64", "is_core": "bool"}
-    )
-    return ClusteringResult(assignments_pdf=pdf, mu=mu, eps=eps, spark=spark)
+    """:func:`assemble_from_edges` over Spark frames: collects ``sim``
+    once. ``cores`` (v), the core set ``sim`` was selected by, is not
+    collected: the cores are the distinct ``u`` of ``sim``."""
+    pdf = sim.toPandas()
+    return assemble_from_edges(pdf["u"], pdf["v"], pdf["sim"], mu, eps, sim.sparkSession)
 
 
 def query_clusters(index: SCANIndex, mu: int, eps: float) -> ClusteringResult:
-    """Retrieve the SCAN clustering for (mu, eps) (Algorithm 5): one
-    collect of the eps-edges out of the CO[mu] prefix, then driver
-    union-find."""
-    cores = get_cores(index, mu, eps)
-    sim = similar_edges_from_cores(index, cores, eps)
-    return assemble_clustering(cores, sim, mu, eps)
+    """Retrieve the SCAN clustering for (mu, eps) (Algorithm 5) from the
+    index's driver arrays: no Spark job."""
+    _check_mu(mu)
+    arrays = index.arrays
+    u, v, sim = arrays.eps_edges(arrays.cores(mu, eps), eps)
+    return assemble_from_edges(u, v, sim, mu, eps, index.spark)
+
+
+def _check_mu(mu: int) -> None:
+    if mu < 2:
+        raise ValueError("SCAN requires mu >= 2")

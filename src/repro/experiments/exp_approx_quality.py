@@ -11,12 +11,9 @@ paper's five trials):
 
 The expensive, timed part — similarity computation + index
 construction — runs on Spark exactly as in the Figure 8 experiment.
-The dense (mu, eps) grid itself is answered by the driver-side index
-(:meth:`SequentialGSIndex.from_similarities`) over the Spark-computed
-similarities: clustering quality depends only on the similarities, not
-on which engine extracts the clusters (differential tests verify the
-engines agree), and a ~100-point grid of O(ms) driver queries is the
-practical way to sweep it (DESIGN.md §3).
+The dense (mu, eps) grid is then answered by the persisted index's own
+queries, which read its driver arrays and run no Spark job, so a
+~100-point grid costs milliseconds per point.
 
 Σ is the paper's grid (eq. 1) scaled to the lite graphs:
 mu ∈ {2, 4, ..., 64} (vs 2..2^18), eps ∈ {.05, .10, ..., .95}
@@ -26,11 +23,10 @@ from __future__ import annotations
 
 import pandas as pd
 from pyspark.sql import SparkSession
-from pyspark.sql import functions as F
 
-from repro.baselines.gs_index_seq import SequentialGSIndex
 from repro.core.approx import build_approx_index
 from repro.core.index import SCANIndex, build_index
+from repro.core.query import query_clusters
 from repro.experiments import datasets
 from repro.experiments.harness import timed
 from repro.quality.ari import adjusted_rand_index_pandas
@@ -46,28 +42,19 @@ DEFAULT_SEEDS = (0, 1, 2)
 DENSE_DATASETS = ("brain_lite", "bloodvessel_lite", "cochlea_lite")
 
 
-def _index_sims_pandas(index: SCANIndex) -> pd.DataFrame:
-    """Per-edge (u, v, sim) recovered from a materialized index."""
-    return (
-        index.neighbor_order.where(F.col("u") < F.col("v"))
-        .select("u", "v", "sim")
-        .toPandas()
-    )
-
-
-def _full_labels(driver_index: SequentialGSIndex, mu: int, eps: float) -> dict:
-    lab = driver_index.query(mu, eps)
-    return {v: lab.get(v, v) for v in range(1, driver_index.n + 1)}
+def _full_labels(index: SCANIndex, mu: int, eps: float) -> dict:
+    lab = query_clusters(index, mu, eps).labels_pandas()
+    return {v: lab.get(v, v) for v in range(1, index.num_vertices + 1)}
 
 
 def _best_modularity(
-    edges: pd.DataFrame, driver_index: SequentialGSIndex
+    edges: pd.DataFrame, index: SCANIndex
 ) -> tuple[float, int, float]:
     """(best Q, best mu, best eps) over the Σ grid."""
     best = (-2.0, MU_GRID[0], EPS_GRID[0])
     for mu in MU_GRID:
         for eps in EPS_GRID:
-            q = modularity_pandas(edges, _full_labels(driver_index, mu, eps))
+            q = modularity_pandas(edges, _full_labels(index, mu, eps))
             if q > best[0]:
                 best = (q, mu, eps)
     return best
@@ -89,12 +76,9 @@ def run(
         for measure in measures:
             scheme = "minhash" if measure == "jaccard" else "simhash"
             idx, t_exact = timed(lambda: build_index(g, measure).persist())
-            exact_driver = SequentialGSIndex.from_similarities(
-                _index_sims_pandas(idx), g.num_vertices
-            )
+            best_q, best_mu, best_eps = _best_modularity(edges, idx)
+            exact_labels = _full_labels(idx, best_mu, best_eps)
             idx.unpersist()
-            best_q, best_mu, best_eps = _best_modularity(edges, exact_driver)
-            exact_labels = _full_labels(exact_driver, best_mu, best_eps)
             rows.append(
                 {
                     "dataset": name,
@@ -114,14 +98,11 @@ def run(
                         ai, _ = build_approx_index(g, k, measure, seed=seed)
                         return ai.persist()
                     aidx, t_apx = timed(build)
-                    approx_driver = SequentialGSIndex.from_similarities(
-                        _index_sims_pandas(aidx), g.num_vertices
+                    q, _, _ = _best_modularity(edges, aidx)
+                    ari = adjusted_rand_index_pandas(
+                        _full_labels(aidx, best_mu, best_eps), exact_labels
                     )
                     aidx.unpersist()
-                    q, _, _ = _best_modularity(edges, approx_driver)
-                    ari = adjusted_rand_index_pandas(
-                        _full_labels(approx_driver, best_mu, best_eps), exact_labels
-                    )
                     t_sum += t_apx
                     q_sum += q
                     ari_sum += ari

@@ -5,7 +5,7 @@ import pytest
 
 from repro.baselines.gs_index_seq import SequentialGSIndex
 from repro.core.approx import approx_edge_similarities, build_approx_index
-from repro.core.index import SCANIndex, build_index
+from repro.core.index import IndexReleasedError, SCANIndex, build_index
 from repro.core.query import query_clusters
 
 
@@ -108,6 +108,47 @@ def test_saved_index_derives_core_order(sbm_small_index, tmp_path, spark):
         assert got == query_clusters(sbm_small_index, mu, eps).labels_pandas()
 
 
+def _tamper(no, how: str):
+    """A copy of fig1's NO rows (u, v, sim, rank) broken one way."""
+    no = no.copy()
+    last5 = (no["u"] == 5) & (no["rank"] == no.loc[no["u"] == 5, "rank"].max())
+    if how == "id_out_of_range":
+        no.loc[no.index[0], "v"] = 99
+    elif how == "rank_gap":
+        no.loc[last5, "rank"] += 1
+    elif how == "rising_sim":
+        no.loc[(no["u"] == 4) & (no["rank"] == 2), "sim"] = 0.0
+    elif how == "asymmetric_sim":
+        no.loc[last5, "sim"] -= 1e-12
+    elif how == "dropped_row":
+        no = no[~last5]
+    return no
+
+
+@pytest.mark.parametrize(
+    "how, message",
+    [
+        ("id_out_of_range", "vertex ids outside 1..11"),
+        ("rank_gap", "ranks do not run over exactly 2..deg"),
+        ("rising_sim", "similarity increases"),
+        ("asymmetric_sim", "no \\(v, u\\) row with the same similarity"),
+        ("dropped_row", "no \\(v, u\\) row with the same similarity"),
+    ],
+)
+def test_load_rejects_a_tampered_neighbor_order(fig1_index, tmp_path, spark, how, message):
+    """load() validates the stored NO before it can answer a query: a
+    corrupt or mismatched artifact raises instead."""
+    path = tmp_path / "idx"
+    fig1_index.save(str(path))
+    no = _tamper(fig1_index.neighbor_order.toPandas(), how)
+    schema = fig1_index.neighbor_order.schema
+    spark.createDataFrame(no, schema).write.mode("overwrite").parquet(
+        str(path / "neighbor_order")
+    )
+    with pytest.raises(ValueError, match=message):
+        SCANIndex.load(spark, str(path))
+
+
 def test_persisted_index_plan_is_a_scan_of_stored_rows(sbm_small_index):
     """persist() cuts NO's lineage: its executed plan no longer carries
     the triangle/similarity/window plan that built it."""
@@ -150,7 +191,8 @@ def _cached_rdd_ids(spark) -> set[int]:
 @pytest.mark.parametrize("kind", ["exact", "approx"])
 def test_unpersist_frees_everything_the_build_cached(spark, sbm_small, kind):
     """After unpersist() no block a build or persist() stored is left,
-    and a query on the released index fails instead of recomputing."""
+    and a query on the released index fails with our own error instead
+    of recomputing."""
     before = _cached_rdd_ids(spark)
     if kind == "exact":
         idx = build_index(sbm_small, "cosine").persist()
@@ -159,7 +201,7 @@ def test_unpersist_frees_everything_the_build_cached(spark, sbm_small, kind):
     assert _cached_rdd_ids(spark) - before  # the checkpoint is stored
     idx.unpersist()
     assert _cached_rdd_ids(spark) - before == set()
-    with pytest.raises(Exception, match="CHECKPOINT_RDD_BLOCK_ID_NOT_FOUND"):
+    with pytest.raises(IndexReleasedError, match="released by unpersist"):
         query_clusters(idx, 3, 0.5)
 
 

@@ -1,16 +1,18 @@
 """Cluster queries: the paper's worked example, engine differential
 tests, the DuckDB recursive-CTE component oracle, and edge cases."""
-import pandas as pd
+import numpy as np
 import pytest
 from pyspark.sql import functions as F
 
 from repro.baselines.gs_index_seq import SequentialGSIndex
-from repro.core.index import build_index
+from repro.core.index import SCANIndex, build_index
 from repro.core.query import (
+    assemble_clustering,
     get_cores,
     query_clusters,
     similar_edges_from_cores,
 )
+from repro.graph.graphframe import UndirectedGraph
 from repro.oracle import assert_equivalent
 from tests.conftest import ADVERSARIAL
 from tests.oracle_sql import COMPONENTS
@@ -102,17 +104,21 @@ def test_differential_weighted(weighted_small, weighted_index, mu, eps):
 
 
 @pytest.mark.parametrize("fixture", ADVERSARIAL)
-def test_adversarial_shapes_build_and_query(fixture, request):
+def test_adversarial_shapes_build_and_query(fixture, request, spark, tmp_path):
     """Stars, bridged cliques, isolated vertices and the empty graph:
-    the persisted index has 2m NO rows and every query equals the
-    sequential GS*-Index, at the eps extremes too."""
+    the persisted index has 2m NO rows, and every query equals the
+    sequential GS*-Index and the Spark reference plan, at the eps
+    extremes too, before and after a Parquet round trip."""
     g = request.getfixturevalue(fixture)
     idx = build_index(g, "cosine").persist()
     try:
         assert idx.neighbor_order.count() == 2 * g.num_edges()
+        idx.save(str(tmp_path / "idx"))
+        loaded = SCANIndex.load(spark, str(tmp_path / "idx"))
         seq = _seq_for(g)
-        for mu, eps in ((2, 0.0), (3, 0.0), (2, 0.5), (3, 0.7), (2, 1.0), (6, 1.0)):
-            assert query_clusters(idx, mu, eps).labels_pandas() == seq.query(mu, eps)
+        for index in (idx, loaded):
+            for mu, eps in ((2, 0.0), (3, 0.0), (2, 0.5), (3, 0.7), (2, 1.0), (6, 1.0)):
+                _assert_engines_agree(index, seq, mu, eps)
     finally:
         idx.unpersist()
 
@@ -176,14 +182,103 @@ def test_monotonicity_in_mu(sbm_small_index):
         prev = cores
 
 
-def test_query_is_one_collect(spark, sbm_small_index):
-    """A query runs two Spark jobs: the broadcast of the CO[mu] prefix
-    and the one collect of the eps-edges; labels come from the driver."""
+def test_query_runs_no_spark_job(spark, sbm_small_index, tmp_path):
+    """A query on a persisted or a loaded index reads the driver's
+    arrays only: labels, cores and borders without a Spark job."""
+    sbm_small_index.save(str(tmp_path / "idx"))
+    loaded = SCANIndex.load(spark, str(tmp_path / "idx"))
     sc = spark.sparkContext
-    sc.setJobGroup("test_query_is_one_collect", "one (mu, eps) query")
-    try:
-        labels = query_clusters(sbm_small_index, 3, 0.5).labels_pandas()
-    finally:
-        sc.setLocalProperty("spark.jobGroup.id", None)
-    assert labels
-    assert len(sc.statusTracker().getJobIdsForGroup("test_query_is_one_collect")) <= 2
+    for name, idx in (("persisted", sbm_small_index), ("loaded", loaded)):
+        group = f"test_query_runs_no_spark_job-{name}"
+        sc.setJobGroup(group, "one (mu, eps) query")
+        try:
+            labels = query_clusters(idx, 3, 0.5).labels_pandas()
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        assert labels
+        assert len(sc.statusTracker().getJobIdsForGroup(group)) == 0, name
+
+
+# -- edge values: the driver engine against seq and the Spark plan -----
+
+
+def _spark_reference(idx, mu, eps) -> dict:
+    """Labels from the Spark reference plan plus the shared assembly."""
+    cores = get_cores(idx, mu, eps)
+    sim = similar_edges_from_cores(idx, cores, eps)
+    return assemble_clustering(cores, sim, mu, eps).labels_pandas()
+
+
+def _assert_engines_agree(idx, seq, mu, eps) -> dict:
+    got = query_clusters(idx, mu, eps).labels_pandas()
+    assert got == seq.query(mu, eps), (mu, eps)
+    assert got == _spark_reference(idx, mu, eps), (mu, eps)
+    return got
+
+
+def test_similarity_equal_to_eps_is_included(fig1, fig1_index):
+    """sigma(5, 6) is vertex 5's best similarity: at eps equal to the
+    stored value 5 is a core, one ulp above it 5 is not."""
+    a = fig1_index.arrays
+    block = slice(a.no_off[5], a.no_off[6])
+    s56 = float(a.no_sim[block][a.no_v[block] == 6][0])
+    seq = _seq_for(fig1)
+    at = _assert_engines_agree(fig1_index, seq, 2, s56)
+    above = _assert_engines_agree(fig1_index, seq, 2, float(np.nextafter(s56, 2.0)))
+    assert at[5] == at[6] and 5 not in above
+    assert 5 in set(a.cores(2, s56)) and 5 not in set(a.cores(2, np.nextafter(s56, 2.0)))
+
+
+def test_stored_similarities_as_eps(sbm_small_index, seq_sbm):
+    """eps equal to stored similarities, so prefixes end exactly on a
+    tie with eps."""
+    sims = np.unique(sbm_small_index.arrays.no_sim)
+    for eps in sims[:: max(1, len(sims) // 6)]:
+        for mu in (2, 3, 5):
+            _assert_engines_agree(sbm_small_index, seq_sbm, mu, float(eps))
+
+
+@pytest.fixture(scope="module")
+def tied(spark):
+    """Two 4-cliques {1..4} and {5..8}; vertex 9 joined to 1 and 5 with
+    bit-equal similarity 2/sqrt(15)."""
+    edges = [(a, b) for lo in (1, 5) for a in range(lo, lo + 4) for b in range(a + 1, lo + 4)]
+    g = UndirectedGraph.from_edge_list(spark, edges + [(1, 9), (5, 9)], 9).materialize()
+    idx = build_index(g, "cosine").persist()
+    yield g, idx
+    idx.unpersist()
+    g.unpersist()
+
+
+def test_ties_break_by_ascending_id(tied):
+    """NO ties order by ascending neighbor id, and a border tied between
+    two cores joins the lower core's cluster."""
+    g, idx = tied
+    a = idx.arrays
+    assert a.no_v[a.no_off[9] : a.no_off[10]].tolist() == [1, 5]
+    assert a.no_v[a.no_off[1] : a.no_off[2]].tolist() == [2, 3, 4, 9]
+    got = _assert_engines_agree(idx, _seq_for(g), 4, 0.5)
+    assert got == {**dict.fromkeys(range(1, 5), 1), **dict.fromkeys(range(5, 9), 5), 9: 1}
+
+
+def test_mu_beyond_every_closed_degree(fig1, fig1_index):
+    """mu = max closed degree still finds the top-degree cores; one more
+    returns empty without raising."""
+    seq = _seq_for(fig1)
+    top = fig1_index.arrays.max_degree + 1
+    assert top == max(seq.deg.values()) + 1
+    assert _assert_engines_agree(fig1_index, seq, top, 0.0)
+    assert _assert_engines_agree(fig1_index, seq, top + 1, 0.0) == {}
+
+
+@pytest.mark.parametrize(
+    "graph, index",
+    [("fig1", "fig1_index"), ("sbm_small", "sbm_small_index"), ("weighted_small", "weighted_index")],
+)
+@pytest.mark.parametrize("eps", (0.0, 1.0))
+def test_eps_extremes(graph, index, eps, request):
+    """eps = 0 admits every edge and eps = 1 only similarity-1 edges."""
+    idx = request.getfixturevalue(index)
+    seq = _seq_for(request.getfixturevalue(graph), idx.measure)
+    for mu in (2, 3, 5):
+        _assert_engines_agree(idx, seq, mu, eps)

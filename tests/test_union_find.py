@@ -2,7 +2,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cc.union_find import UnionFind, components_from_edges
+from repro.cc.union_find import components_from_edges
 
 
 def _brute_components(edges, vertices):
@@ -46,23 +46,13 @@ def test_labels_are_min_of_component(edges):
         assert labels[c] == c  # the label vertex is its own root label
 
 
-def test_union_find_basics():
-    uf = UnionFind()
-    uf.union(1, 2)
-    uf.union(3, 4)
-    assert uf.find(1) == uf.find(2)
-    assert uf.find(3) == uf.find(4)
-    assert uf.find(1) != uf.find(3)
-    uf.union(2, 3)
-    assert uf.find(1) == uf.find(4)
-
-
-def test_self_union_is_noop():
-    uf = UnionFind()
-    uf.union(5, 5)
-    assert uf.find(5) == 5
-
-
 def test_isolated_vertices_kept():
     got = components_from_edges([], [1, 2, 3])
     assert got == {1: 1, 2: 2, 3: 3}
+
+
+def test_long_path_in_descending_ids():
+    """Each round links only the larger root of an edge, so a path whose
+    ids descend needs pointer jumping to reach one label."""
+    edges = [(v, v - 1) for v in range(200, 1, -1)]
+    assert set(components_from_edges(edges).values()) == {1}
