@@ -4,11 +4,10 @@ Usage: spark-submit jobs/query_clusters.py <index_dir> <mu> <eps>
 
 Prints the size of each cluster, largest first. Telling hubs from
 outliers needs the graph, which the saved index does not hold, so this
-job reports the clustering only.
+job reports the clustering only. Only the load reads Spark: the query
+and the counts run on the driver.
 """
 import sys
-
-from pyspark.sql import functions as F
 
 from repro.core.index import SCANIndex
 from repro.core.query import query_clusters
@@ -20,13 +19,9 @@ def main() -> None:
     spark = get_session("query_clusters")
     index = SCANIndex.load(spark, path)
     res = query_clusters(index, mu, eps)
-    sizes = (
-        res.assignments.groupBy("cluster")
-        .agg(F.count("*").alias("size"))
-        .orderBy(F.col("size").desc())
-    )
+    sizes = res.assignments_pdf.groupby("cluster").size().rename("size").reset_index()
     print(f"clusters for mu={mu}, eps={eps}:")
-    sizes.show(50, truncate=False)
+    print(sizes.sort_values("size", ascending=False).head(50).to_string(index=False))
 
 
 if __name__ == "__main__":

@@ -54,14 +54,21 @@ class IndexArrays:
         sim = rows["sim"].to_numpy(np.float64)
         rank = rows["rank"].to_numpy(np.int64)
         no = np.lexsort((rank, u))
+        return IndexArrays.from_sorted(u[no], v[no], sim[no], rank[no], num_vertices)
+
+    @staticmethod
+    def from_sorted(
+        u: np.ndarray, v: np.ndarray, sim: np.ndarray, rank: np.ndarray, num_vertices: int
+    ) -> "IndexArrays":
+        """Arrays from NO rows already sorted by (u, rank)."""
         co = np.lexsort((u, -sim, rank))
-        sims, j = np.unique(sim[no], return_inverse=True)
+        sims, j = np.unique(sim, return_inverse=True)
         k = len(sims)
         return IndexArrays(
             no_off=_offsets(u, num_vertices + 1),
-            no_v=v[no],
-            no_sim=sim[no],
-            no_key=u[no] * k + (k - 1 - j),
+            no_v=v,
+            no_sim=sim,
+            no_key=u * k + (k - 1 - j),
             sims=sims,
             co_off=_offsets(rank, 2),
             co_v=u[co],
@@ -91,6 +98,25 @@ class IndexArrays:
         cnt = np.searchsorted(self.no_key, cores * k + (k - 1 - t), side="right") - lo
         idx = np.arange(cnt.sum()) + np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)
         return np.repeat(cores, cnt), self.no_v[idx], self.no_sim[idx]
+
+
+def rank_neighbor_order(u: np.ndarray, v: np.ndarray, sim: np.ndarray):
+    """NO rows (u, v, sim, rank) from one similarity per edge, and the
+    permutation that sorts them by (u, rank).
+
+    The rows are the edges as given followed by their mirrors (v, u).
+    Each vertex's rows are ranked by descending similarity, ties by
+    ascending neighbor id (paper §7.3.4), from rank 2: rank 1 is the
+    implicit self entry.
+    """
+    u, v = np.concatenate((u, v)), np.concatenate((v, u))
+    sim = np.concatenate((sim, sim))
+    order = np.lexsort((v, -sim, u))
+    su = u[order]
+    start = np.flatnonzero(np.r_[True, su[1:] != su[:-1]])
+    rank = np.empty(len(u), np.int64)
+    rank[order] = np.arange(len(u)) - np.repeat(start, np.diff(np.r_[start, len(u)])) + 2
+    return u, v, sim, rank, order
 
 
 def _offsets(keys: np.ndarray, min_keys: int) -> np.ndarray:

@@ -3,9 +3,11 @@
 Neighbor order ``NO[v]`` is the closed neighborhood of v sorted by
 descending similarity; since sigma(v, v) = 1 is always the maximum, the
 vertex itself is the implicit rank-1 entry and real neighbors occupy
-ranks 2..deg(v)+1. We materialize NO as a DataFrame
-``(u, v, sim, rank)`` (rank ≥ 2) — GS*-Index's per-list sorts become
-one engine-wide window sort, the Spark counterpart of the paper's
+ranks 2..deg(v)+1. NO is the rows ``(u, v, sim, rank)`` (rank ≥ 2).
+Construction collects one similarity per edge to the driver, lists
+each edge in both directions and ranks all of them with one numpy
+lexsort by (u, sim descending, v) — GS*-Index's per-list sorts become
+one sort over all lists, the driver-side counterpart of the paper's
 "one single integer sort over all lists" trick (§4.1.2).
 
 Core order ``CO[mu]`` lists every vertex with closed degree ≥ mu along
@@ -15,14 +17,15 @@ CO is precisely a re-keying of NO: row (v, x, sim, rank=mu) of NO is
 row (mu, v, threshold=sim) of CO. So only NO is stored (O(m) rows);
 CO is a column projection of it, derived on read.
 
-Construction ends with ``SCANIndex.persist()``, an eager local
-checkpoint: NO's rows are stored and its lineage is cut. The stored
-rows are then collected once into sorted arrays on the driver
-(:mod:`repro.core.arrays`), which answer every query without a Spark
-job. The index also saves as one Parquet dataset plus a small metadata
-file; loading it validates the rows and builds the same arrays.
-Construction (expensive) is paid once and queries (cheap) are paid per
-(mu, eps) — the paper's whole point.
+Construction ends with NO on the driver: the ranked rows become sorted
+arrays (:mod:`repro.core.arrays`), which answer every query without a
+Spark job, and ``neighbor_order`` is a DataFrame made from the same
+rows, so no block of the build stays stored. The index saves as one
+Parquet dataset plus a small metadata file; loading it validates the
+rows and builds the same arrays. Construction (expensive) is paid once
+and queries (cheap) are paid per (mu, eps) — the paper's whole point.
+:func:`neighbor_order_from_similarities` keeps the ranking as a Spark
+window plan, the reference for tests and the traced benchmark run.
 """
 from __future__ import annotations
 
@@ -30,12 +33,18 @@ import json
 import os
 from dataclasses import dataclass, field
 
+import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame, SparkSession, Window
 from pyspark.sql import functions as F
 
-from repro.core.arrays import IndexArrays, validate_rows
-from repro.core.similarity import edge_similarities
+from repro.core.arrays import IndexArrays, rank_neighbor_order, validate_rows
+from repro.core.similarity import similarities_from_lists
 from repro.graph.graphframe import UndirectedGraph
+from repro.graph.triangles import neighbor_lists, with_neighbor_lists
+
+#: Schema of the NO rows.
+NO_SCHEMA = "u long, v long, sim double, rank int"
 
 
 @dataclass
@@ -45,14 +54,29 @@ class SCANIndex:
     neighbor_order: DataFrame  # (u, v, sim, rank) — rank >= 2, self implicit
     num_vertices: int
     measure: str
-    # Frames the build stored (cached or checkpointed) because NO's plan
-    # reads them several times; persist() and unpersist() release them.
-    # Not part of the index.
-    build_cache: list[DataFrame] = field(default_factory=list, repr=False, compare=False)
     # The driver's sorted copy of NO and CO that queries read; made by
-    # persist() and load(), dropped by unpersist().
+    # the build and by load(), dropped by unpersist().
     _arrays: IndexArrays | None = field(default=None, init=False, repr=False, compare=False)
     _released: bool = field(default=False, init=False, repr=False, compare=False)
+
+    @staticmethod
+    def from_similarities(
+        spark: SparkSession, edges: pd.DataFrame, num_vertices: int, measure: str
+    ) -> "SCANIndex":
+        """The index of one similarity per edge, ``edges`` (u, v, sim),
+        ranked on the driver. NO lists the edges in the given order,
+        then their mirrors."""
+        u, v, sim, rank, order = rank_neighbor_order(
+            edges["u"].to_numpy(np.int64),
+            edges["v"].to_numpy(np.int64),
+            edges["sim"].to_numpy(np.float64),
+        )
+        rows = pd.DataFrame({"u": u, "v": v, "sim": sim, "rank": rank.astype(np.int32)})
+        index = SCANIndex(spark.createDataFrame(rows, NO_SCHEMA), num_vertices, measure)
+        index._arrays = IndexArrays.from_sorted(
+            u[order], v[order], sim[order], rank[order], num_vertices
+        )
+        return index
 
     @property
     def core_order(self) -> DataFrame:
@@ -71,8 +95,8 @@ class SCANIndex:
     def arrays(self) -> IndexArrays:
         """The driver's sorted NO and CO, which queries read.
 
-        persist() and load() make them; an index queried before either
-        collects its NO here, once. Raises IndexReleasedError after
+        The build and load() make them; an index made from a NO frame
+        directly collects it here, once. Raises IndexReleasedError after
         unpersist().
         """
         if self._released:
@@ -80,37 +104,25 @@ class SCANIndex:
                 "this SCAN index was released by unpersist(); build or load it again"
             )
         if self._arrays is None:
-            self._arrays = self._collect_arrays()
+            self._arrays = IndexArrays.from_rows(
+                self.neighbor_order.toPandas(), self.num_vertices
+            )
         return self._arrays
 
-    def _collect_arrays(self) -> IndexArrays:
-        return IndexArrays.from_rows(self.neighbor_order.toPandas(), self.num_vertices)
-
     def persist(self) -> "SCANIndex":
-        """Materialize NO and cut its lineage (ends "construction").
+        """End construction: make sure the driver arrays exist.
 
-        An eager local checkpoint stores NO's rows in the block manager
-        and replaces the neighbor-list/similarity/window plan by a scan of
-        those rows. The stored rows are then collected once into the
-        driver's sorted arrays, so queries run no Spark job.
+        A built or loaded index already holds them and stores no Spark
+        block, so this only returns the index.
         """
-        self.neighbor_order = self.neighbor_order.localCheckpoint(eager=True)
-        self._release_build_cache()
-        self._arrays = self._collect_arrays()
+        self.arrays
         return self
 
     def unpersist(self) -> None:
-        """Free the checkpointed NO blocks and the driver's arrays; later
-        queries on this index raise IndexReleasedError."""
-        release(self.neighbor_order)
-        self._release_build_cache()
+        """Drop the driver's arrays; later queries on this index raise
+        IndexReleasedError."""
         self._arrays = None
         self._released = True
-
-    def _release_build_cache(self) -> None:
-        for df in self.build_cache:
-            release(df)
-        self.build_cache = []
 
     # -- filesystem persistence (the "index" artifact) ----------------
 
@@ -150,24 +162,22 @@ class SCANIndex:
 
 
 class IndexReleasedError(RuntimeError):
-    """A query on an index whose stored rows unpersist() freed."""
+    """A query on an index that unpersist() released."""
 
 
 def release(df: DataFrame) -> None:
-    """Free the blocks ``df`` stored, whether cached or checkpointed.
+    """Free the blocks of a locally checkpointed frame.
 
-    ``DataFrame.unpersist`` does not reach a checkpoint, so for a
-    checkpointed frame the RDD under its plan is released instead.
+    ``DataFrame.unpersist`` does not reach a checkpoint, so the RDD
+    under its plan is released instead.
     """
-    plan = df._jdf.queryExecution().logical()
-    if plan.getClass().getSimpleName() == "LogicalRDD":
-        plan.rdd().unpersist(True)
-    else:
-        df.unpersist(blocking=True)
+    df._jdf.queryExecution().logical().rdd().unpersist(True)
 
 
 def neighbor_order_from_similarities(similarities: DataFrame) -> DataFrame:
-    """Rank each vertex's neighbors by descending similarity.
+    """Rank each vertex's neighbors by descending similarity, as a
+    Spark window plan: the reference for the driver's
+    :func:`~repro.core.arrays.rank_neighbor_order`, which builds run.
 
     ``similarities`` has one row per canonical edge (u, v, sim); the
     output has one row per directed pair with ``rank`` starting at 2
@@ -196,12 +206,21 @@ def build_index(
     measure: str = "cosine",
     similarities: DataFrame | None = None,
 ) -> SCANIndex:
-    """Construct the SCAN index (not yet materialized; see persist()).
+    """Construct the SCAN index: one collect of the similarities, then
+    NO ranked and held on the driver.
 
-    Passing precomputed ``similarities`` (u, v, sim) swaps in e.g. the
-    LSH-approximate similarities of :mod:`repro.core.approx`.
+    The exact similarities read the neighbor lists from one stored
+    per-vertex table, released once they are collected. Passing
+    precomputed ``similarities`` (u, v, sim) swaps in other values
+    instead.
     """
-    if similarities is None:
-        similarities = edge_similarities(g, measure)
-    no = neighbor_order_from_similarities(similarities)
-    return SCANIndex(no, g.num_vertices, measure)
+    if similarities is not None:
+        edges = similarities.select("u", "v", "sim").toPandas()
+    else:
+        table = neighbor_lists(g).localCheckpoint(eager=True)
+        try:
+            e = with_neighbor_lists(g, g.edges, table)
+            edges = similarities_from_lists(g, e, measure).select("u", "v", "sim").toPandas()
+        finally:
+            release(table)
+    return SCANIndex.from_similarities(g.spark, edges, g.num_vertices, measure)

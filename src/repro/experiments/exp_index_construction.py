@@ -18,10 +18,9 @@ from repro.experiments.harness import timed
 
 
 def build_index_timed(g, measure: str):
-    """(index, seconds) — construction ends when NO is materialized
-    (``SCANIndex.persist()``, an eager local checkpoint), matching the
-    paper's definition of construction finishing with the index
-    resident in memory."""
+    """(index, seconds) — construction ends when NO is ranked and held
+    as arrays on the driver, matching the paper's definition of
+    construction finishing with the index resident in memory."""
     return timed(lambda: build_index(g, measure).persist())
 
 

@@ -35,40 +35,48 @@ def broadcast_if_small(g: UndirectedGraph):
     return F.broadcast if small else (lambda df: df)
 
 
-def neighbor_lists(g: UndirectedGraph) -> DataFrame:
-    """(v, nbrs, norm) for every vertex of degree ≥ 1.
+def neighbor_lists(g: UndirectedGraph, weights: bool = False) -> DataFrame:
+    """(v, nbrs, norm) for every vertex of degree ≥ 1, plus ``wts`` if
+    ``weights``.
 
     ``nbrs`` is the ascending array of v's open neighbor ids, so
     deg(v) = size(nbrs). ``norm = sqrt(1 + Σ_{x∈N(v)} w(v,x)²)`` is the
     weighted closed-neighborhood 2-norm; the 1 is the implicit
-    self-edge weight w(v, v) = 1 (paper §4.1.1).
+    self-edge weight w(v, v) = 1 (paper §4.1.1). ``wts`` holds the edge
+    weights w(v, x) in the order of ``nbrs``.
     """
-    return g.adjacency().groupBy(F.col("u").alias("v")).agg(
-        F.array_sort(F.collect_list("v")).alias("nbrs"),
-        F.sqrt(F.lit(1.0) + F.sum(F.col("w") * F.col("w"))).alias("norm"),
+    norm = F.sqrt(F.lit(1.0) + F.sum(F.col("w") * F.col("w"))).alias("norm")
+    by_vertex = g.adjacency().groupBy(F.col("u").alias("v"))
+    if not weights:
+        return by_vertex.agg(F.array_sort(F.collect_list("v")).alias("nbrs"), norm)
+    pairs = F.array_sort(F.collect_list(F.struct("v", "w"))).alias("pairs")
+    return by_vertex.agg(pairs, norm).select(
+        "v", F.col("pairs.v").alias("nbrs"), F.col("pairs.w").alias("wts"), "norm"
     )
 
 
-def with_neighbor_lists(g: UndirectedGraph, edges: DataFrame) -> DataFrame:
+def with_neighbor_lists(
+    g: UndirectedGraph, edges: DataFrame, lists: DataFrame | None = None
+) -> DataFrame:
     """``edges`` (u, v, w) joined to both endpoints' neighbor lists:
-    (u, v, w, nu, nv, norm_u, norm_v)."""
-    lists = broadcast_if_small(g)(neighbor_lists(g))
-    return (
-        edges.join(
-            lists.select(
-                F.col("v").alias("u"),
-                F.col("nbrs").alias("nu"),
-                F.col("norm").alias("norm_u"),
-            ),
-            "u",
+    (u, v, w, nu, nv, norm_u, norm_v).
+
+    ``lists`` defaults to :func:`neighbor_lists`; a stored per-vertex
+    table with the same columns may be passed instead. Its other
+    columns c come along as c_u and c_v.
+    """
+    lists = broadcast_if_small(g)(neighbor_lists(g) if lists is None else lists)
+    extra = [c for c in lists.columns if c not in ("v", "nbrs", "norm")]
+
+    def side(end: str, nbrs: str) -> DataFrame:
+        return lists.select(
+            F.col("v").alias(end),
+            F.col("nbrs").alias(nbrs),
+            F.col("norm").alias(f"norm_{end}"),
+            *(F.col(c).alias(f"{c}_{end}") for c in extra),
         )
-        .join(
-            lists.select(
-                "v", F.col("nbrs").alias("nv"), F.col("norm").alias("norm_v")
-            ),
-            "v",
-        )
-    )
+
+    return edges.join(side("u", "nu"), "u").join(side("v", "nv"), "v")
 
 
 def common_neighbor_weights(g: UndirectedGraph, e: DataFrame) -> DataFrame:

@@ -14,22 +14,50 @@ Two variants over *closed* neighborhoods (unweighted sets):
   bins are the sentinel -1.
 
 Sketches are int64 arrays of length k (uint64 hash values reinterpreted
-bit-identically; only equality is ever compared).
+bit-identically; only equality is ever compared), made by the same
+``mapInPandas`` pass over the neighbor lists as SimHash's
+(:func:`repro.lsh.simhash.sketch_vertices`). The estimates are Spark
+SQL expressions: the match and empty-bin counts are ``zip_with`` over
+the two arrays, summed by ``aggregate``.
 """
 from __future__ import annotations
 
 from typing import Callable
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import Column, DataFrame
-from pyspark.sql.functions import pandas_udf
+from pyspark.sql import functions as F
 
 from repro.graph.graphframe import UndirectedGraph
 from repro.lsh.hashing import hash_tuple
-from repro.lsh.simhash import sketch_vertices, with_sketches
+from repro.lsh.simhash import Kernel, count_pairs, scoped_lists, sketch_vertices, with_sketches
 
 EMPTY = -1  # OPH empty-bin sentinel (hash div k is always >= 0)
+VARIANTS = ("standard", "oph")
+
+
+def minhash_kernel(k: int, seed: int, variant: str = "oph") -> Kernel:
+    """The k-sample MinHash of one closed set; weights are ignored."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown MinHash variant {variant!r}")
+
+    def sketch_standard(xs: np.ndarray, w: np.ndarray) -> np.ndarray:
+        j = np.arange(k, dtype=np.uint64)
+        h = hash_tuple(seed, xs[:, None], j[None, :], salt=0x7A)  # (d, k)
+        return h.min(axis=0).view(np.int64)
+
+    def sketch_oph(xs: np.ndarray, w: np.ndarray) -> np.ndarray:
+        h = hash_tuple(seed, xs, salt=0x7B)
+        bins = (h % np.uint64(k)).astype(np.int64)
+        vals = (h // np.uint64(k)).view(np.int64)  # < 2**63 for k >= 2
+        # Seed with int64-max (vals are nonnegative and strictly
+        # smaller), then mark untouched bins with the EMPTY sentinel.
+        hi = np.iinfo(np.int64).max
+        out = np.full(k, hi, dtype=np.int64)
+        np.minimum.at(out, bins, vals)
+        return np.where(out == hi, EMPTY, out)
+
+    return sketch_standard if variant == "standard" else sketch_oph
 
 
 def minhash_sketches(
@@ -40,46 +68,22 @@ def minhash_sketches(
     scope: DataFrame | None = None,
 ) -> DataFrame:
     """(v, sketch: array<long>) — k-sample MinHash of closed sets."""
-    if variant not in ("standard", "oph"):
-        raise ValueError(f"unknown MinHash variant {variant!r}")
-
-    def sketch_standard(xs: np.ndarray, w: np.ndarray) -> list[int]:
-        j = np.arange(k, dtype=np.uint64)
-        h = hash_tuple(seed, xs[:, None], j[None, :], salt=0x7A)  # (d, k)
-        return h.min(axis=0).view(np.int64).tolist()
-
-    def sketch_oph(xs: np.ndarray, w: np.ndarray) -> list[int]:
-        h = hash_tuple(seed, xs, salt=0x7B)
-        bins = (h % np.uint64(k)).astype(np.int64)
-        vals = (h // np.uint64(k)).view(np.int64)  # < 2**63 for k >= 2
-        # Seed with int64-max (vals are nonnegative and strictly
-        # smaller), then mark untouched bins with the EMPTY sentinel.
-        hi = np.iinfo(np.int64).max
-        out = np.full(k, hi, dtype=np.int64)
-        np.minimum.at(out, bins, vals)
-        return np.where(out == hi, EMPTY, out).tolist()
-
-    fn = sketch_standard if variant == "standard" else sketch_oph
-    return sketch_vertices(g, scope, fn, "v long, sketch array<long>")
+    fn = minhash_kernel(k, seed, variant)
+    return sketch_vertices(scoped_lists(g, scope, weights=False), fn).select("v", "sketch")
 
 
 def minhash_estimator(k: int, variant: str = "oph") -> Callable[[str, str], Column]:
-    """Estimated Jaccard of two sketch columns; NaN where either is null."""
+    """Estimated Jaccard of two sketch columns; null where either is."""
 
-    @pandas_udf("double")
-    def est(sa: pd.Series, sb: pd.Series) -> pd.Series:
-        out = np.full(len(sa), np.nan)
-        both = (sa.notna() & sb.notna()).to_numpy()
-        if both.any():
-            a = np.vstack(sa[both].to_numpy())
-            b = np.vstack(sb[both].to_numpy())
-            if variant == "standard":
-                out[both] = (a == b).mean(axis=1)
-            else:
-                both_empty = ((a == EMPTY) & (b == EMPTY)).sum(axis=1)
-                match = ((a == b) & (a != EMPTY)).sum(axis=1)
-                out[both] = match / np.maximum(k - both_empty, 1)
-        return pd.Series(out)
+    def est(a: str, b: str) -> Column:
+        sa, sb = F.col(a), F.col(b)
+        if variant == "standard":
+            return count_pairs(sa, sb, lambda x, y: (x == y).cast("int")) / F.lit(k)
+        match = count_pairs(sa, sb, lambda x, y: ((x == y) & (x != EMPTY)).cast("int"))
+        both_empty = count_pairs(
+            sa, sb, lambda x, y: ((x == EMPTY) & (y == EMPTY)).cast("int")
+        )
+        return match / F.greatest(F.lit(k) - both_empty, F.lit(1))
 
     return est
 

@@ -174,3 +174,23 @@ def test_approx_build_equals_its_building_blocks(request, graph, measure, k):
     assert 0 < len(est) == stats.n_edges_approx < len(want)  # a mixed split
     want.loc[est.index] = est
     assert got.sort_index().equals(want.sort_index())
+
+
+def test_cosine_on_weighted_graph_sketches_unit_weights(weighted_small, exact_sims):
+    """Plain cosine ignores the edge weights on both sides of the
+    build: with every edge sketched, the estimates track the exact
+    unweighted cosine, not the weighted one."""
+    idx, stats = build_approx_index(
+        weighted_small, k=4096, measure="cosine", seed=2, use_degree_heuristic=False
+    )
+    assert stats.n_edges_exact == 0
+    est = (
+        idx.neighbor_order.where(F.col("u") < F.col("v"))
+        .select("u", "v", "sim")
+        .toPandas()
+        .set_index(["u", "v"])["sim"]
+    )
+    err = (est - exact_sims(weighted_small, "cosine")).abs()
+    err_weighted = (est - exact_sims(weighted_small, "wcosine")).abs()
+    assert err.mean() < 0.03 and err.max() < 0.15
+    assert err_weighted.mean() > 2 * err.mean()

@@ -150,15 +150,16 @@ def test_load_rejects_a_tampered_neighbor_order(fig1_index, tmp_path, spark, how
 
 
 def test_persisted_index_plan_is_a_scan_of_stored_rows(sbm_small_index):
-    """persist() cuts NO's lineage: its executed plan no longer carries
-    the triangle/similarity/window plan that built it."""
+    """NO is a frame of the driver's rows: its executed plan carries no
+    neighbor-list or similarity plan that built it."""
     plan = sbm_small_index.neighbor_order._jdf.queryExecution().executedPlan()
     assert len(plan.toString().splitlines()) <= 5
 
 
 def test_build_is_few_spark_jobs(spark, sbm_small):
-    """The exact build is one plan: the neighbor-list groupBy, its two
-    broadcasts, the NO window shuffle and the checkpoint."""
+    """The exact build stores the neighbor lists once (their groupBy
+    and the checkpoint), broadcasts them to both edge joins and
+    collects the similarities once."""
     sc = spark.sparkContext
     sc.setJobGroup("test_build_is_few_spark_jobs", "exact build")
     try:
@@ -166,13 +167,13 @@ def test_build_is_few_spark_jobs(spark, sbm_small):
     finally:
         sc.setLocalProperty("spark.jobGroup.id", None)
     idx.unpersist()
-    assert len(sc.statusTracker().getJobIdsForGroup("test_build_is_few_spark_jobs")) <= 8
+    assert len(sc.statusTracker().getJobIdsForGroup("test_build_is_few_spark_jobs")) <= 5
 
 
 def test_approx_build_is_few_spark_jobs(spark, dense_small):
-    """The SimHash build is one pass over the list-joined edges: store
-    them and count the approximated ones, sketch the vertices in scope
-    once into a checkpoint, then one NO plan and its checkpoint."""
+    """The SimHash build stores one per-vertex table (the neighbor-list
+    groupBy and the checkpoint of the sketched lists), broadcasts it to
+    both edge joins and collects the similarities once."""
     sc = spark.sparkContext
     sc.setJobGroup("test_approx_build_is_few_spark_jobs", "approx build")
     try:
@@ -181,7 +182,7 @@ def test_approx_build_is_few_spark_jobs(spark, dense_small):
         sc.setLocalProperty("spark.jobGroup.id", None)
     idx.unpersist()
     jobs = sc.statusTracker().getJobIdsForGroup("test_approx_build_is_few_spark_jobs")
-    assert len(jobs) <= 18
+    assert len(jobs) <= 5
 
 
 def _cached_rdd_ids(spark) -> set[int]:
@@ -190,15 +191,16 @@ def _cached_rdd_ids(spark) -> set[int]:
 
 @pytest.mark.parametrize("kind", ["exact", "approx"])
 def test_unpersist_frees_everything_the_build_cached(spark, sbm_small, kind):
-    """After unpersist() no block a build or persist() stored is left,
-    and a query on the released index fails with our own error instead
-    of recomputing."""
+    """A build leaves no block stored: NO lives on the driver. After
+    unpersist() a query on the released index fails with our own error
+    instead of recomputing."""
     before = _cached_rdd_ids(spark)
     if kind == "exact":
         idx = build_index(sbm_small, "cosine").persist()
     else:
         idx = build_approx_index(sbm_small, 2, "cosine")[0].persist()
-    assert _cached_rdd_ids(spark) - before  # the checkpoint is stored
+    assert _cached_rdd_ids(spark) - before == set()
+    query_clusters(idx, 3, 0.5)  # the built index answers
     idx.unpersist()
     assert _cached_rdd_ids(spark) - before == set()
     with pytest.raises(IndexReleasedError, match="released by unpersist"):
@@ -206,11 +208,11 @@ def test_unpersist_frees_everything_the_build_cached(spark, sbm_small, kind):
 
 
 def test_approx_edge_similarities_leaves_only_its_result_stored(spark, dense_small):
-    """The list-joined edges and the sketch checkpoint are released
-    inside the call; unpersisting the returned frame frees the rest."""
+    """The per-vertex table is released inside the call; unpersisting
+    the returned frame frees the rest."""
     before = _cached_rdd_ids(spark)
     sims, stats = approx_edge_similarities(dense_small, 8, "cosine")
-    assert stats.n_edges_approx > 0  # the sketch checkpoint was made
+    assert stats.n_edges_approx > 0  # the table carried sketches
     assert len(_cached_rdd_ids(spark) - before) == 1
     sims.unpersist(blocking=True)
     assert _cached_rdd_ids(spark) - before == set()

@@ -23,24 +23,29 @@ def _estimates(g, k, seed=0):
 def test_sketch_length_and_coverage(fig1):
     sk = simhash_sketches(fig1, 32, 0).toPandas()
     assert len(sk) == 11
-    assert all(len(b) == 4 for b in sk["sketch"])  # 32 bits = 4 bytes
+    assert all(len(s) == 1 for s in sk["sketch"])  # 32 bits fit one int64 word
+
+
+def _words(sketches) -> list[tuple]:
+    return [tuple(s) for s in sketches]
 
 
 def test_sketches_deterministic(fig1):
     a = simhash_sketches(fig1, 16, 5).toPandas().sort_values("v")
     b = simhash_sketches(fig1, 16, 5).toPandas().sort_values("v")
-    assert list(a["sketch"]) == list(b["sketch"])
+    assert _words(a["sketch"]) == _words(b["sketch"])
 
 
 def test_sketches_differ_across_seeds(sbm_small):
     a = simhash_sketches(sbm_small, 64, 0).toPandas().sort_values("v")
     b = simhash_sketches(sbm_small, 64, 1).toPandas().sort_values("v")
-    assert list(a["sketch"]) != list(b["sketch"])
+    assert _words(a["sketch"]) != _words(b["sketch"])
 
 
 def test_identical_closed_neighborhoods_identical_sketches(fig1):
     # N̄(1) == N̄(3) == {1,2,3,4} in the Figure-1 graph
-    sk = dict(simhash_sketches(fig1, 64, 0).toPandas().itertuples(index=False))
+    sk = simhash_sketches(fig1, 64, 0).toPandas()
+    sk = dict(zip(sk["v"], _words(sk["sketch"])))
     assert sk[1] == sk[3]
 
 
@@ -161,6 +166,8 @@ def test_sketches_whole_across_arrow_batches(spark, weighted_small, arrow_batche
             scheme, rows["v"].to_numpy(np.uint64), rows["w"].to_numpy(np.float64), k, seed
         )
         if scheme == "simhash":
-            assert bytes(sketch) == want
+            packed = np.asarray(sketch, np.int64).astype(">i8").tobytes()
+            assert packed[: len(want)] == want  # the same bits, first bit highest
+            assert not any(packed[len(want) :])  # and zeros past them
         else:
             assert list(sketch) == want
