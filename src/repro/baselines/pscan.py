@@ -14,44 +14,41 @@ t ∈ [0, min(d(u), d(v)) − 1] since u, v are mutual neighbors):
   lb = 2/sqrt((du+1)(dv+1)), ub = (min(du,dv)+1)/sqrt((du+1)(dv+1)).
 - jaccard: sigma = (t+2)/(du+dv−t) ∈ [2/(du+dv), (min+1)/(max+1)].
 
+The endpoint degrees come from the graph's CSR (:mod:`repro.graph.triangles`),
+collected once per query, and the bounds are numpy on the driver.
 Edges with lb >= eps are similar without computation; edges with
 ub < eps are dissimilar without computation; only the rest get an exact
-intersection (:func:`repro.core.similarity.similarities_for_edges`).
+intersection, in the one stage that computes every exact similarity
+(:func:`repro.core.similarity.exact_rows`, behind
+:func:`~repro.core.similarity.similarities_for_edges`).
 Decided-similar edges carry sigma = lb as the (valid lower-bound)
 similarity used only for deterministic border ordering, so border
 choices may differ from the exact-index engine — the paper notes border
-assignment is arbitrary among valid cores anyway (§3.1, §7.1).
+assignment is arbitrary among valid cores anyway (§3.1, §7.1). The
+eps-edges out of cores go to the index query's driver assembly.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
+import numpy as np
+import pandas as pd
 
 from repro.core.query import ClusteringResult, assemble_from_edges
-from repro.core.similarity import similarities_for_edges
+from repro.core.similarity import exact_rows
 from repro.graph.graphframe import UndirectedGraph
+from repro.graph.triangles import collect_csr
 
 
-def _with_endpoint_degrees(g: UndirectedGraph, edges: DataFrame) -> DataFrame:
-    deg = g.degrees()  # per-vertex: broadcastable dimension table
-    return edges.join(
-        F.broadcast(deg.withColumnRenamed("v", "u").withColumnRenamed("deg", "du")),
-        "u",
-    ).join(F.broadcast(deg.withColumnRenamed("deg", "dv")), "v")
+#: The measures with degree bounds.
+MEASURES = ("cosine", "jaccard")
 
 
-def _bounds(measure: str):
-    """(lb, ub) column expressions over (du, dv)."""
-    mind = F.least("du", "dv")
-    maxd = F.greatest("du", "dv")
+def _bounds(measure: str, du: np.ndarray, dv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lb, ub) of sigma per edge from its endpoint degrees."""
+    mind, maxd = np.minimum(du, dv), np.maximum(du, dv)
     if measure == "cosine":
-        s = F.sqrt((F.col("du") + 1) * (F.col("dv") + 1))
-        return F.lit(2) / s, (mind + 1) / s
-    if measure == "jaccard":
-        return F.lit(2) / (F.col("du") + F.col("dv")), (mind + 1) / (maxd + 1)
-    raise ValueError(
-        f"pscan baseline supports unweighted measures only, got {measure!r}"
-    )
+        s = np.sqrt((du + 1) * (dv + 1))
+        return 2 / s, (mind + 1) / s
+    return 2 / (du + dv), (mind + 1) / (maxd + 1)  # jaccard
 
 
 def pscan_query(
@@ -63,38 +60,25 @@ def pscan_query(
     """One SCAN clustering computed from scratch with pruning."""
     if mu < 2:
         raise ValueError("SCAN requires mu >= 2")
-    lb, ub = _bounds(measure)
-    e = _with_endpoint_degrees(g, g.edges).select(
-        "u", "v", lb.alias("lb"), ub.alias("ub")
+    if measure not in MEASURES:
+        raise ValueError(f"pscan baseline supports {MEASURES} only, got {measure!r}")
+    csr = collect_csr(g)
+    u, v = csr.edges()
+    deg = csr.degrees
+    lb, ub = _bounds(measure, deg[u], deg[v])
+    similar = lb >= eps
+    undecided = ~similar & (ub >= eps)
+    todo = g.spark.createDataFrame(
+        pd.DataFrame({"u": u[undecided], "v": v[undecided]}), "u long, v long"
     )
-    decided_similar = e.where(F.col("lb") >= eps).select(
-        "u", "v", F.col("lb").alias("sim")
-    )
-    undecided = e.where((F.col("lb") < eps) & (F.col("ub") >= eps)).select("u", "v")
-    computed = similarities_for_edges(g, undecided, measure).where(
-        F.col("sim") >= eps
-    ).select("u", "v", "sim")
-    similar = decided_similar.unionByName(computed)
-    sym = similar.unionByName(
-        similar.select(F.col("v").alias("u"), F.col("u").alias("v"), "sim")
-    ).persist()
-    # Core check: eps-neighborhood contains the vertex itself, so a
-    # core needs >= mu - 1 similar incident edges.
-    cores = (
-        sym.groupBy(F.col("u").alias("v"))
-        .agg(F.count("*").alias("k"))
-        .where(F.col("k") >= mu - 1)
-        .select("v")
-    )
-    # Cores are broadcast, as in the index query: with a shuffle join,
-    # a query with no cores finishes early while the abandoned shuffle
-    # of sym keeps running into the caller's next job.
-    sim_from_cores = sym.join(
-        F.broadcast(cores.withColumnRenamed("v", "u")), "u", "left_semi"
-    )
-    # One collect of the eps-edges out of cores; the index query's
-    # driver assembly finishes the clustering. The scratch similar-edge
-    # cache is free to go once the edges are on the driver.
-    e = sim_from_cores.toPandas()
-    sym.unpersist()
-    return assemble_from_edges(e["u"], e["v"], e["sim"], mu, eps, g.spark)
+    computed = exact_rows(csr, todo, measure)
+    computed = computed[computed["sim"] >= eps]
+    su = np.concatenate((u[similar], computed["u"].to_numpy(np.int64)))
+    sv = np.concatenate((v[similar], computed["v"].to_numpy(np.int64)))
+    sim = np.concatenate((lb[similar], computed["sim"].to_numpy(np.float64)))
+    # Both directions of every similar edge; a core has >= mu - 1 of
+    # them (its eps-neighborhood also holds the vertex itself).
+    su, sv, sim = np.concatenate((su, sv)), np.concatenate((sv, su)), np.concatenate((sim, sim))
+    core = np.bincount(su, minlength=csr.num_vertices + 1) >= mu - 1
+    out = core[su]
+    return assemble_from_edges(su[out], sv[out], sim[out], mu, eps, g.spark)

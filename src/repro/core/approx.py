@@ -10,34 +10,37 @@ The §6.3 degree heuristic: approximating a low-degree pair is slower
 whose endpoints **both** exceed a degree threshold (k for cosine, 3k/2
 for Jaccard) use sketches; everything else is computed exactly.
 
-The build reads one per-vertex table, stored once: the neighbor lists
-of :func:`repro.graph.triangles.neighbor_lists` (with the edge weights
-for weighted cosine) plus a ``sketch`` column, filled by one
-``mapInPandas`` pass for every vertex above the threshold
-(:func:`repro.lsh.simhash.sketch_vertices`). A degree is a list's size,
-so the split needs no degree table. Each edge joins the table on both
-endpoints; an approximated edge takes the Spark SQL estimate of its
-two sketches, any other the exact formula of
-:func:`repro.core.similarity.similarities_from_lists`. An approximated
-edge's ``nv`` is emptied first, so the exact formula intersects (and,
-for weighted cosine, explodes) nothing for it. One collect brings the
-similarities to the driver, which ranks NO (:mod:`repro.core.index`)
-and counts the split from the same rows.
+The build is the exact build's one stage with a second branch in its
+kernel: the driver collects the CSR (:mod:`repro.graph.triangles`),
+and each task of one ``mapInPandas`` stage over the edges splits every
+batch by the endpoint degrees. An exact edge takes the formula of
+:func:`repro.core.similarity.exact_kernel`; an approximated edge the
+numpy estimate of its endpoints' sketches, each vertex sketched once
+per task from its closed neighborhood in the CSR. One collect brings
+the similarities to the driver, which ranks NO (:mod:`repro.core.index`)
+and counts the split from the CSR degrees.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
-from repro.core.index import SCANIndex, release
-from repro.core.similarity import MEASURES, similarities_from_lists
+from repro.core.index import SCANIndex
+from repro.core.similarity import (
+    SIM_SCHEMA,
+    EdgeKernel,
+    check_measure,
+    exact_kernel,
+    similarity_rows,
+)
 from repro.graph.graphframe import UndirectedGraph
-from repro.graph.triangles import neighbor_lists, with_neighbor_lists
-from repro.lsh.minhash import minhash_estimator, minhash_kernel
-from repro.lsh.simhash import simhash_estimator, simhash_kernel, sketch_vertices
+from repro.graph.triangles import CSR, collect_csr
+from repro.lsh.minhash import minhash_estimate, minhash_kernel
+from repro.lsh.simhash import Estimator, Kernel, simhash_estimate, simhash_kernel
 
 
 @dataclass
@@ -57,6 +60,76 @@ def degree_threshold(measure: str, k: int) -> float:
     return 1.5 * k if measure == "jaccard" else float(k)
 
 
+class SketchCache:
+    """The sketches of one task's vertices, each made once, as rows of
+    one matrix."""
+
+    def __init__(self, csr: CSR, sketch: Kernel, weighted: bool):
+        self.csr, self.sketch, self.weighted = csr, sketch, weighted
+        self.row = np.full(csr.num_vertices + 1, -1)
+        self.mat: np.ndarray | None = None
+
+    def __call__(self, vs: np.ndarray) -> np.ndarray:
+        """The sketches of ``vs``, one row each."""
+        new = np.unique(vs[self.row[vs] < 0])
+        if len(new):
+            made = np.stack([self.sketch(*self.csr.closed(v, self.weighted)) for v in new])
+            start = 0 if self.mat is None else len(self.mat)
+            self.row[new] = np.arange(start, start + len(new))
+            self.mat = made if self.mat is None else np.concatenate((self.mat, made))
+        return self.mat[self.row[vs]]
+
+
+def approx_kernel(
+    csr: CSR, measure: str, thr: float, sketch: Kernel, estimate: Estimator
+) -> EdgeKernel:
+    """Similarity of edges of ``csr``: estimated where both endpoints'
+    degrees exceed ``thr``, exact elsewhere."""
+    exact = exact_kernel(csr, measure)
+    above = csr.degrees > thr
+    sketches = SketchCache(csr, sketch, weighted=measure == "wcosine")
+
+    def sims(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+        approx = above[u] & above[v]
+        out = np.empty(len(u))
+        ex = ~approx
+        out[ex] = exact(u[ex], v[ex], w[ex])
+        if approx.any():
+            out[approx] = estimate(sketches(u[approx]), sketches(v[approx]))
+        return out
+
+    return sims
+
+
+def _approx_rows(
+    g: UndirectedGraph, k: int, measure: str, seed: int, use_degree_heuristic: bool
+) -> tuple[pd.DataFrame, ApproxStats]:
+    """(u, v, w, sim) per edge, collected, and the §6.3 split."""
+    check_measure(measure)
+    thr = degree_threshold(measure, k) if use_degree_heuristic else 0.0
+    if measure == "jaccard":
+        sketch, estimate = minhash_kernel(k, seed), partial(minhash_estimate, k=k)
+    else:
+        sketch, estimate = simhash_kernel(k, seed), partial(simhash_estimate, k=k)
+    csr = collect_csr(g)
+    rows = similarity_rows(
+        csr, g.edges, lambda c: approx_kernel(c, measure, thr, sketch, estimate)
+    )
+    return rows, _stats(csr, rows, thr)
+
+
+def _stats(csr: CSR, edges: pd.DataFrame, thr: float) -> ApproxStats:
+    """The §6.3 split of ``edges`` (u, v), counted from the CSR degrees."""
+    above = csr.degrees > thr
+    n_approx = int((above[edges["u"].to_numpy()] & above[edges["v"].to_numpy()]).sum())
+    return ApproxStats(
+        n_edges_approx=n_approx,
+        n_edges_exact=len(edges) - n_approx,
+        n_vertices_sketched=int(above.sum()),
+        degree_threshold=thr,
+    )
+
+
 def approx_edge_similarities(
     g: UndirectedGraph,
     k: int,
@@ -66,58 +139,11 @@ def approx_edge_similarities(
 ) -> tuple[DataFrame, ApproxStats]:
     """(u, v, w, sim) per edge with LSH-approximated similarities.
 
-    The result is cached and materialized, and the per-vertex table is
-    already released: its ``unpersist()`` frees everything this call
-    stored.
+    The result is a frame of the collected rows; the call leaves no
+    Spark block or broadcast stored.
     """
-    sims, table, thr = _approx_similarities(g, k, measure, seed, use_degree_heuristic)
-    try:
-        sims = sims.persist()
-        edges = sims.select("u", "v").toPandas()
-    finally:
-        release(table)
-    return sims, _stats(edges, g.num_vertices, thr)
-
-
-def _approx_similarities(
-    g: UndirectedGraph, k: int, measure: str, seed: int, use_degree_heuristic: bool
-) -> tuple[DataFrame, DataFrame, float]:
-    """(u, v, w, sim) per edge, unmaterialized, the stored per-vertex
-    table it reads, for the caller to release, and the threshold."""
-    if measure not in MEASURES:
-        raise ValueError(f"unknown measure {measure!r}; expected one of {MEASURES}")
-    thr = degree_threshold(measure, k) if use_degree_heuristic else 0.0
-    if measure == "jaccard":
-        kernel, est = minhash_kernel(k, seed), minhash_estimator(k)
-    else:
-        kernel, est = simhash_kernel(k, seed), simhash_estimator(k)
-    lists = neighbor_lists(g, weights=measure == "wcosine")
-    table = sketch_vertices(lists, kernel, thr).localCheckpoint(eager=True)
-    e = with_neighbor_lists(g, g.edges, table)
-    approx = (F.size("nu") > thr) & (F.size("nv") > thr)
-    e = e.select(
-        "u", "v", "w", "nu",
-        F.when(approx, F.array().cast("array<long>")).otherwise(F.col("nv")).alias("nv"),
-        "norm_u", "norm_v",
-        F.when(approx, est("sketch_u", "sketch_v")).alias("est"),
-    )
-    sims = similarities_from_lists(g, e, measure).select(
-        "u", "v", "w", F.coalesce("est", "sim").alias("sim")
-    )
-    return sims, table, thr
-
-
-def _stats(edges, num_vertices: int, thr: float) -> ApproxStats:
-    """The §6.3 split of ``edges`` (u, v), counted from their degrees."""
-    u, v = edges["u"].to_numpy(np.int64), edges["v"].to_numpy(np.int64)
-    above = np.bincount(np.concatenate((u, v)), minlength=num_vertices + 1) > thr
-    n_approx = int((above[u] & above[v]).sum())
-    return ApproxStats(
-        n_edges_approx=n_approx,
-        n_edges_exact=len(u) - n_approx,
-        n_vertices_sketched=int(above.sum()),
-        degree_threshold=thr,
-    )
+    rows, stats = _approx_rows(g, k, measure, seed, use_degree_heuristic)
+    return g.spark.createDataFrame(rows, SIM_SCHEMA), stats
 
 
 def build_approx_index(
@@ -131,13 +157,6 @@ def build_approx_index(
 
     Queries against the returned index are *identical in cost* to exact
     queries — only construction (what Figures 8–10 measure) changes.
-    The per-vertex table is released once the similarities are on the
-    driver.
     """
-    sims, table, thr = _approx_similarities(g, k, measure, seed, use_degree_heuristic)
-    try:
-        edges = sims.select("u", "v", "sim").toPandas()
-    finally:
-        release(table)
-    idx = SCANIndex.from_similarities(g.spark, edges, g.num_vertices, measure)
-    return idx, _stats(edges, g.num_vertices, thr)
+    rows, stats = _approx_rows(g, k, measure, seed, use_degree_heuristic)
+    return SCANIndex.from_similarities(g.spark, rows, g.num_vertices, measure), stats

@@ -75,6 +75,13 @@ class IndexArrays:
             co_neg=-sim[co],
         )
 
+    def rows(self) -> pd.DataFrame:
+        """NO as rows (u, v, sim, rank), sorted by (u, rank)."""
+        deg = np.diff(self.no_off)
+        u = np.repeat(np.arange(len(deg)), deg)
+        rank = np.arange(len(u)) - np.repeat(self.no_off[:-1], deg) + 2
+        return pd.DataFrame({"u": u, "v": self.no_v, "sim": self.no_sim, "rank": rank})
+
     @property
     def max_degree(self) -> int:
         """The largest vertex degree (0 for an edgeless graph)."""

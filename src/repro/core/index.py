@@ -17,15 +17,18 @@ CO is precisely a re-keying of NO: row (v, x, sim, rank=mu) of NO is
 row (mu, v, threshold=sim) of CO. So only NO is stored (O(m) rows);
 CO is a column projection of it, derived on read.
 
-Construction ends with NO on the driver: the ranked rows become sorted
+Construction ends with NO on the driver: one collect brings one
+similarity per edge (the one-stage builds of :mod:`repro.core.similarity`
+and :mod:`repro.core.approx`), and the ranked rows become sorted
 arrays (:mod:`repro.core.arrays`), which answer every query without a
-Spark job, and ``neighbor_order`` is a DataFrame made from the same
-rows, so no block of the build stays stored. The index saves as one
-Parquet dataset plus a small metadata file; loading it validates the
-rows and builds the same arrays. Construction (expensive) is paid once
-and queries (cheap) are paid per (mu, eps) — the paper's whole point.
-:func:`neighbor_order_from_similarities` keeps the ranking as a Spark
-window plan, the reference for tests and the traced benchmark run.
+Spark job. ``neighbor_order`` is a DataFrame made from those arrays on
+first use: saving the index and CO read it, queries never do. The
+index saves as one Parquet dataset plus a small metadata file; loading
+it validates the rows and builds the same arrays. Construction
+(expensive) is paid once and queries (cheap) are paid per (mu, eps) —
+the paper's whole point. :func:`neighbor_order_from_similarities`
+keeps the ranking as a Spark window plan, the reference for tests and
+the traced benchmark run.
 """
 from __future__ import annotations
 
@@ -39,9 +42,9 @@ from pyspark.sql import DataFrame, SparkSession, Window
 from pyspark.sql import functions as F
 
 from repro.core.arrays import IndexArrays, rank_neighbor_order, validate_rows
-from repro.core.similarity import similarities_from_lists
+from repro.core.similarity import exact_rows
 from repro.graph.graphframe import UndirectedGraph
-from repro.graph.triangles import neighbor_lists, with_neighbor_lists
+from repro.graph.triangles import collect_csr
 
 #: Schema of the NO rows.
 NO_SCHEMA = "u long, v long, sim double, rank int"
@@ -51,9 +54,12 @@ NO_SCHEMA = "u long, v long, sim double, rank int"
 class SCANIndex:
     """Materialized SCAN index for one graph + similarity measure."""
 
-    neighbor_order: DataFrame  # (u, v, sim, rank) — rank >= 2, self implicit
+    spark: SparkSession = field(repr=False)
     num_vertices: int
     measure: str
+    # NO as (u, v, sim, rank) rows — rank >= 2, self implicit. A built
+    # index makes it from its arrays on first use (neighbor_order).
+    _neighbor_order: DataFrame | None = field(default=None, init=False, repr=False, compare=False)
     # The driver's sorted copy of NO and CO that queries read; made by
     # the build and by load(), dropped by unpersist().
     _arrays: IndexArrays | None = field(default=None, init=False, repr=False, compare=False)
@@ -64,19 +70,29 @@ class SCANIndex:
         spark: SparkSession, edges: pd.DataFrame, num_vertices: int, measure: str
     ) -> "SCANIndex":
         """The index of one similarity per edge, ``edges`` (u, v, sim),
-        ranked on the driver. NO lists the edges in the given order,
-        then their mirrors."""
+        ranked on the driver."""
         u, v, sim, rank, order = rank_neighbor_order(
             edges["u"].to_numpy(np.int64),
             edges["v"].to_numpy(np.int64),
             edges["sim"].to_numpy(np.float64),
         )
-        rows = pd.DataFrame({"u": u, "v": v, "sim": sim, "rank": rank.astype(np.int32)})
-        index = SCANIndex(spark.createDataFrame(rows, NO_SCHEMA), num_vertices, measure)
+        index = SCANIndex(spark, num_vertices, measure)
         index._arrays = IndexArrays.from_sorted(
             u[order], v[order], sim[order], rank[order], num_vertices
         )
         return index
+
+    @property
+    def neighbor_order(self) -> DataFrame:
+        """NO: (u, v, sim, rank) — rank >= 2, self implicit.
+
+        A built index makes this frame from its arrays on first use.
+        """
+        if self._neighbor_order is None:
+            rows = self.arrays.rows()
+            rows["rank"] = rows["rank"].astype(np.int32)
+            self._neighbor_order = self.spark.createDataFrame(rows, NO_SCHEMA)
+        return self._neighbor_order
 
     @property
     def core_order(self) -> DataFrame:
@@ -88,24 +104,14 @@ class SCANIndex:
         )
 
     @property
-    def spark(self) -> SparkSession:
-        return self.neighbor_order.sparkSession
-
-    @property
     def arrays(self) -> IndexArrays:
-        """The driver's sorted NO and CO, which queries read.
-
-        The build and load() make them; an index made from a NO frame
-        directly collects it here, once. Raises IndexReleasedError after
+        """The driver's sorted NO and CO, which queries read; the build
+        and load() make them. Raises IndexReleasedError after
         unpersist().
         """
         if self._released:
             raise IndexReleasedError(
                 "this SCAN index was released by unpersist(); build or load it again"
-            )
-        if self._arrays is None:
-            self._arrays = IndexArrays.from_rows(
-                self.neighbor_order.toPandas(), self.num_vertices
             )
         return self._arrays
 
@@ -147,11 +153,8 @@ class SCANIndex:
         """
         with open(os.path.join(path, "meta.json")) as f:
             meta = json.load(f)
-        index = SCANIndex(
-            neighbor_order=spark.read.parquet(os.path.join(path, "neighbor_order")),
-            num_vertices=meta["num_vertices"],
-            measure=meta["measure"],
-        )
+        index = SCANIndex(spark, meta["num_vertices"], meta["measure"])
+        index._neighbor_order = spark.read.parquet(os.path.join(path, "neighbor_order"))
         rows = index.neighbor_order.toPandas()
         try:
             validate_rows(rows, index.num_vertices)
@@ -163,15 +166,6 @@ class SCANIndex:
 
 class IndexReleasedError(RuntimeError):
     """A query on an index that unpersist() released."""
-
-
-def release(df: DataFrame) -> None:
-    """Free the blocks of a locally checkpointed frame.
-
-    ``DataFrame.unpersist`` does not reach a checkpoint, so the RDD
-    under its plan is released instead.
-    """
-    df._jdf.queryExecution().logical().rdd().unpersist(True)
 
 
 def neighbor_order_from_similarities(similarities: DataFrame) -> DataFrame:
@@ -209,18 +203,13 @@ def build_index(
     """Construct the SCAN index: one collect of the similarities, then
     NO ranked and held on the driver.
 
-    The exact similarities read the neighbor lists from one stored
-    per-vertex table, released once they are collected. Passing
+    The exact similarities come from one stage over the edges with the
+    CSR broadcast (:func:`repro.core.similarity.exact_rows`). Passing
     precomputed ``similarities`` (u, v, sim) swaps in other values
     instead.
     """
     if similarities is not None:
         edges = similarities.select("u", "v", "sim").toPandas()
     else:
-        table = neighbor_lists(g).localCheckpoint(eager=True)
-        try:
-            e = with_neighbor_lists(g, g.edges, table)
-            edges = similarities_from_lists(g, e, measure).select("u", "v", "sim").toPandas()
-        finally:
-            release(table)
+        edges = exact_rows(collect_csr(g), g.edges, measure)
     return SCANIndex.from_similarities(g.spark, edges, g.num_vertices, measure)

@@ -11,79 +11,100 @@ endpoints themselves are always shared since {u, v} ∈ E), hence:
   with w(x, x) = 1 and norm(v) = sqrt(1 + Σ_{x∈N(v)} w(v,x)²); the
   2·w(u,v) term is x = u and x = v of the closed intersection.
 
-Every edge is joined to both endpoints' sorted neighbor lists
-(:mod:`repro.graph.triangles`): d = size(list) and t is the size of
-the lists' intersection, so all edges' similarities come from one Spark
-plan. Weighted cosine also explodes the common ids to look up the two
-weights of each. The full build, the §6.3 exact side of the approximate
-build and the ppSCAN baseline's undecided edges all apply the one
-formula of :func:`similarities_from_lists`.
+d, t and the weighted sum come from the CSR of
+:mod:`repro.graph.triangles`: every edge's similarity is computed in
+numpy by one task of the one ``mapInPandas`` stage of
+:func:`~repro.graph.triangles.map_with_csr`. The full build, the §6.3
+exact side of the approximate build and ppSCAN's undecided edges all
+apply the one formula of :func:`exact_kernel`. The public frames hold
+the collected rows.
 """
 from __future__ import annotations
 
+from functools import partial
+from typing import Callable
+
+import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.graph.graphframe import UndirectedGraph
-from repro.graph.triangles import (
-    broadcast_if_small,
-    common_neighbor_weights,
-    with_neighbor_lists,
-)
+from repro.graph.triangles import CSR, collect_csr, common_neighbors, map_with_csr
 
 #: Supported similarity measures.
 MEASURES = ("cosine", "jaccard", "wcosine")
+#: Schema of the per-edge similarity rows.
+SIM_SCHEMA = "u long, v long, w double, sim double"
+
+#: ``sims(u, v, w)``: one similarity per edge (u[i], v[i]) of weight w[i].
+EdgeKernel = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
-def similarities_from_lists(g: UndirectedGraph, e: DataFrame, measure: str) -> DataFrame:
-    """Exact similarity of every row of ``e``, a frame of
-    :func:`~repro.graph.triangles.with_neighbor_lists` that may carry
-    more columns: e's columns but the two lists, plus ``sim``.
-
-    The one formula per measure: the full build, the §6.3 fallback of
-    the approximate build and ppSCAN's undecided edges all run it.
-    """
+def check_measure(measure: str) -> None:
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}; expected one of {MEASURES}")
-    rest = [c for c in e.columns if c not in ("nu", "nv")]
-    if measure == "wcosine":
-        cw = common_neighbor_weights(g, e).groupBy(*rest).agg(
-            F.coalesce(F.sum(F.col("wux") * F.col("wvx")), F.lit(0.0)).alias("cw")
-        )
-        sim = (2 * F.col("w") + F.col("cw")) / (F.col("norm_u") * F.col("norm_v"))
-        return cw.select(*rest, sim.alias("sim"))
-    shared = F.size(F.array_intersect("nu", "nv")).cast("long") + 2  # |closed ∩|
-    du = F.size("nu").cast("long")
-    dv = F.size("nv").cast("long")
-    if measure == "cosine":
-        sim = shared / F.sqrt((du + 1) * (dv + 1))
-    else:  # jaccard
-        sim = shared / (du + dv + 2 - shared)
-    return e.select(*rest, sim.alias("sim"))
 
 
-def _similarities(g: UndirectedGraph, edges: DataFrame, measure: str) -> DataFrame:
-    """(u, v, w, sim) for every row of ``edges`` (u, v, w)."""
-    e = with_neighbor_lists(g, edges)
-    return similarities_from_lists(g, e, measure).select("u", "v", "w", "sim")
+def exact_kernel(csr: CSR, measure: str) -> EdgeKernel:
+    """The exact similarity of edges of ``csr``: the one formula per
+    measure."""
+    deg = csr.degrees
+    norms = csr.norms() if measure == "wcosine" else None
+
+    def sims(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+        t, cw = common_neighbors(csr, u, v)
+        if measure == "wcosine":
+            return (2 * w + cw) / (norms[u] * norms[v])
+        shared = t + 2  # |closed ∩|
+        du, dv = deg[u], deg[v]
+        if measure == "cosine":
+            return shared / np.sqrt((du + 1) * (dv + 1))
+        return shared / (du + dv + 2 - shared)  # jaccard
+
+    return sims
+
+
+def similarity_rows(
+    csr: CSR, edges: DataFrame, kernel: Callable[[CSR], EdgeKernel]
+) -> pd.DataFrame:
+    """(u, v, w, sim) for every row of ``edges`` (u, v) that is an edge
+    of ``csr``, from one stage: each task makes ``kernel(csr)`` once
+    and applies it to every batch of its partition."""
+
+    def task(csr: CSR):
+        sims = kernel(csr)
+
+        def batch(pdf: pd.DataFrame) -> pd.DataFrame:
+            u, v = pdf["u"].to_numpy(np.int64), pdf["v"].to_numpy(np.int64)
+            pos = csr.find(u, v)
+            keep = pos >= 0
+            u, v, w = u[keep], v[keep], csr.wt[pos[keep]]
+            return pd.DataFrame({"u": u, "v": v, "w": w, "sim": sims(u, v, w)})
+
+        return batch
+
+    return map_with_csr(csr, edges.select("u", "v"), task, SIM_SCHEMA)
+
+
+def exact_rows(csr: CSR, edges: DataFrame, measure: str) -> pd.DataFrame:
+    """(u, v, w, sim): the exact similarity of every row of ``edges``
+    that is an edge of ``csr``."""
+    check_measure(measure)
+    return similarity_rows(csr, edges, partial(exact_kernel, measure=measure))
 
 
 def edge_similarities(g: UndirectedGraph, measure: str = "cosine") -> DataFrame:
     """Similarity of every edge: (u, v, w, sim) with u < v.
 
     The expensive part of index construction the paper's Figure 5/8
-    experiments time.
+    experiments time. The rows are computed when this is called.
     """
-    return _similarities(g, g.edges, measure)
+    return similarities_for_edges(g, g.edges, measure)
 
 
 def similarities_for_edges(
     g: UndirectedGraph, subset: DataFrame, measure: str = "cosine"
 ) -> DataFrame:
-    """Exact similarity restricted to ``subset`` (columns u, v, u < v).
-
-    Used by the ppSCAN baseline: only its undecided edges need exact
-    computation.
-    """
-    edges = subset.select("u", "v").join(broadcast_if_small(g)(g.edges), ["u", "v"])
-    return _similarities(g, edges, measure)
+    """Exact similarity restricted to ``subset`` (columns u, v, u < v):
+    (u, v, w, sim) for each of its rows that is an edge of ``g``."""
+    return g.spark.createDataFrame(exact_rows(collect_csr(g), subset, measure), SIM_SCHEMA)

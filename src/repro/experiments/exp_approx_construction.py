@@ -4,7 +4,9 @@ For each graph and each sample count k, times the LSH-approximate index
 construction (SimHash for cosine on every graph; k-partition MinHash
 for Jaccard on the unweighted graphs — the paper's implementation
 choices, §6.3/§7.3.3) and reports it next to the exact construction
-time, taken from a second exact build so that it is not timed cold.
+time. Every time is the median of REPS warm builds, after one untimed
+exact build per graph (the first build of a process is cold: first
+Spark jobs, Python workers).
 Shapes to reproduce: approximation helps on the dense graphs and not on
 the sparse ones; MinHash builds faster than SimHash; times
 plateau at large k where the §6.3 degree heuristic reverts edges to
@@ -12,14 +14,29 @@ exact computation (visible in ``edges_approx``).
 """
 from __future__ import annotations
 
+import statistics
+
 from pyspark.sql import SparkSession
 
 from repro.core.approx import build_approx_index
+from repro.core.index import build_index
 from repro.experiments import datasets
-from repro.experiments.exp_index_construction import build_index_timed
 from repro.experiments.harness import timed
 
 KS = (8, 16, 32, 64, 128)
+#: Timed builds per (graph, scheme, k) and for each exact build.
+REPS = 3
+
+
+def _median_build_s(build) -> tuple[object, float]:
+    """(stats of the last build, median seconds of REPS ``build()``
+    calls), each ending with its index persisted and then released."""
+    times, stats = [], None
+    for _ in range(REPS):
+        (idx, stats), t = timed(build)
+        times.append(t)
+        idx.unpersist()
+    return stats, statistics.median(times)
 
 
 def run(
@@ -33,20 +50,18 @@ def run(
     for name in names:
         g = datasets.load(spark, name)
         exact_measure = datasets.measure_for(name)
-        # The first build of a graph is cold (first Spark jobs, Python
-        # workers): time the second, warm one.
-        for _ in range(2):
-            idx, t_exact = build_index_timed(g, exact_measure)
-            idx.unpersist()
+        build_index(g, exact_measure).unpersist()  # untimed warm-up
+        _, t_exact = _median_build_s(
+            lambda: (build_index(g, exact_measure).persist(), None)
+        )
         measures = [exact_measure] if g.weighted else ["cosine", "jaccard"]
         for measure in measures:
             scheme = "minhash" if measure == "jaccard" else "simhash"
             for k in ks:
                 def build():
                     idx, stats = build_approx_index(g, k, measure, seed=seed)
-                    idx.persist()
-                    return idx, stats
-                (idx, stats), t_apx = timed(build)
+                    return idx.persist(), stats
+                stats, t_apx = _median_build_s(build)
                 rows.append(
                     {
                         "dataset": name,
@@ -59,6 +74,5 @@ def run(
                         "sketched": stats.n_vertices_sketched,
                     }
                 )
-                idx.unpersist()
         g.unpersist()
     return rows

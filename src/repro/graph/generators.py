@@ -16,7 +16,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.graph.graphframe import UndirectedGraph
+from repro.graph.graphframe import UndirectedGraph, canonical_pandas
 
 #: Edges of the paper's Figure-1 worked example, reconstructed from the
 #: numbers printed in the paper (sigma(5,6)=2/sqrt(12)~=.58,
@@ -39,12 +39,8 @@ def fig1_graph(spark: SparkSession) -> UndirectedGraph:
 
 def _dedup(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> pd.DataFrame:
     """Canonicalize numpy endpoint arrays: orient, drop loops + dups."""
-    lo, hi = np.minimum(u, v), np.maximum(u, v)
-    keep = lo < hi
-    pdf = pd.DataFrame({"u": lo[keep], "v": hi[keep], "w": w[keep]})
-    return (
-        pdf.drop_duplicates(["u", "v"]).sort_values(["u", "v"]).reset_index(drop=True)
-    )
+    pdf = canonical_pandas(u, v, w)
+    return pdf.sort_values(["u", "v"]).reset_index(drop=True)
 
 
 def gnp_edges_pandas(

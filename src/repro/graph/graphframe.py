@@ -38,6 +38,16 @@ def canonical_edges(df: DataFrame) -> DataFrame:
     )
 
 
+def canonical_pandas(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> pd.DataFrame:
+    """:func:`canonical_edges` of endpoint and weight arrays, on the
+    driver: (u, v, w) oriented ``u < v``, without self-loops, each edge
+    once (its first occurrence)."""
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    keep = lo < hi
+    pdf = pd.DataFrame({"u": lo[keep], "v": hi[keep], "w": w[keep]})
+    return pdf.drop_duplicates(["u", "v"])
+
+
 def _check_edge_list(pdf: pd.DataFrame, num_vertices: int) -> None:
     """Reject a non-empty pandas edge list that does not describe a
     graph on ``1..num_vertices`` with finite positive weights."""
@@ -87,7 +97,8 @@ class UndirectedGraph:
         Raises ``ValueError`` for vertex ids that are not integers in
         ``1..num_vertices`` and for weights that are not finite and
         positive: an edge to a vertex outside the universe, or one NaN
-        weight, would otherwise give silently wrong similarities.
+        weight, would otherwise give silently wrong similarities. The
+        list is made canonical in pandas and uploaded once.
         """
         if num_vertices is None:
             num_vertices = 0 if pdf.empty else int(pdf[["u", "v"]].to_numpy().max())
@@ -96,7 +107,15 @@ class UndirectedGraph:
             edges = spark.createDataFrame([], "u long, v long, w double")
         else:
             _check_edge_list(pdf, num_vertices)
-            edges = canonical_edges(spark.createDataFrame(pdf))
+            w = pdf["w"] if "w" in pdf.columns else np.ones(len(pdf))
+            edges = spark.createDataFrame(
+                canonical_pandas(
+                    pdf["u"].to_numpy(np.int64),
+                    pdf["v"].to_numpy(np.int64),
+                    np.asarray(w, np.float64),
+                ),
+                "u long, v long, w double",
+            )
         return UndirectedGraph(edges, num_vertices, weighted)
 
     @staticmethod

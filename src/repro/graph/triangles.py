@@ -1,108 +1,164 @@
-"""Common neighbors of each edge by sorted neighbor-list intersection.
+"""Common neighbors of each edge over a CSR adjacency (paper §4.1.1 / §6.1).
 
-This is the substrate for exact SCAN similarity (paper §4.1.1 / §6.1).
-One ``groupBy`` of the adjacency collects every vertex's open neighbor
-ids into a sorted list; each edge is joined to both endpoints' lists,
-and its common neighbors N(u) ∩ N(v) are the intersection of the two.
-The whole pass is one Spark plan.
+This is the substrate of every index build. The driver collects the
+canonical edges once (one Spark job) into a CSR: per-vertex offsets,
+each vertex's neighbor ids ascending and the weights beside them. One
+``sc.broadcast`` ships the CSR to the executors, one ``mapInPandas``
+stage over the edge partitions runs a numpy kernel on every Arrow
+batch, and one collect brings its rows back; the broadcast is
+destroyed then (:func:`map_with_csr`). So every build is two Spark
+jobs, whatever the measure, and the per-edge work is the paper's
+parallel loop over the edges in numpy.
 
-The work is O(Σ_v d(v)²), since each edge intersects two whole lists,
-against the O(αm) of the paper's degree-oriented counting. At the
-graph sizes here Spark's per-job cost, not this work, sets the time:
-the oriented wedge join plus closing-edge join took 11 Spark jobs where
-this plan takes a few, and the build with it was 2–4x slower on every
-Fig 5 graph, the skewed-degree webbase_lite included.
+Each edge (u, v) intersects its endpoints' sorted lists the way
+GS*-Index does, from the lower-degree side: each neighbor x of that
+endpoint is looked up as ``b * (n + 1) + x`` in the CSR's ascending
+key array (b the other endpoint), one ``searchsorted`` for the whole
+batch (:func:`common_neighbors`). The work is O(Σ_e min(d(u), d(v))
+log m) against the O(αm) of the paper's degree-oriented counting; at
+the graph sizes here Spark's per-job cost, not this work, sets the
+build's time.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Callable, Iterator
+
+import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.graph.graphframe import UndirectedGraph
 
 
-def broadcast_if_small(g: UndirectedGraph):
-    """Broadcast hint for per-vertex tables of ``g`` when it is small.
+@dataclass(frozen=True)
+class CSR:
+    """The adjacency of a graph on vertices 1..num_vertices, sorted."""
 
-    At lite scale the neighbor lists and the adjacency are a few MB, so
-    broadcasting them turns the edge joins into map-side hash joins.
-    Gated on a known edge count so a graph that was never materialized,
-    or a genuinely large one, takes the shuffle path. (The session
-    disables auto-broadcast; vertex lookups are where an explicit hint
-    belongs.)
-    """
-    small = g._num_edges is not None and g._num_edges <= 500_000
-    return F.broadcast if small else (lambda df: df)
+    off: np.ndarray  # (n + 2,) int64: v's neighbors are nbr[off[v]:off[v + 1]]
+    nbr: np.ndarray  # (2m,) int64, ascending within each vertex
+    wt: np.ndarray  # (2m,) float64: w(v, nbr) beside each neighbor
+    key: np.ndarray  # (2m,) int64, ascending: v * (n + 1) + nbr
+    num_vertices: int
 
-
-def neighbor_lists(g: UndirectedGraph, weights: bool = False) -> DataFrame:
-    """(v, nbrs, norm) for every vertex of degree ≥ 1, plus ``wts`` if
-    ``weights``.
-
-    ``nbrs`` is the ascending array of v's open neighbor ids, so
-    deg(v) = size(nbrs). ``norm = sqrt(1 + Σ_{x∈N(v)} w(v,x)²)`` is the
-    weighted closed-neighborhood 2-norm; the 1 is the implicit
-    self-edge weight w(v, v) = 1 (paper §4.1.1). ``wts`` holds the edge
-    weights w(v, x) in the order of ``nbrs``.
-    """
-    norm = F.sqrt(F.lit(1.0) + F.sum(F.col("w") * F.col("w"))).alias("norm")
-    by_vertex = g.adjacency().groupBy(F.col("u").alias("v"))
-    if not weights:
-        return by_vertex.agg(F.array_sort(F.collect_list("v")).alias("nbrs"), norm)
-    pairs = F.array_sort(F.collect_list(F.struct("v", "w"))).alias("pairs")
-    return by_vertex.agg(pairs, norm).select(
-        "v", F.col("pairs.v").alias("nbrs"), F.col("pairs.w").alias("wts"), "norm"
-    )
-
-
-def with_neighbor_lists(
-    g: UndirectedGraph, edges: DataFrame, lists: DataFrame | None = None
-) -> DataFrame:
-    """``edges`` (u, v, w) joined to both endpoints' neighbor lists:
-    (u, v, w, nu, nv, norm_u, norm_v).
-
-    ``lists`` defaults to :func:`neighbor_lists`; a stored per-vertex
-    table with the same columns may be passed instead. Its other
-    columns c come along as c_u and c_v.
-    """
-    lists = broadcast_if_small(g)(neighbor_lists(g) if lists is None else lists)
-    extra = [c for c in lists.columns if c not in ("v", "nbrs", "norm")]
-
-    def side(end: str, nbrs: str) -> DataFrame:
-        return lists.select(
-            F.col("v").alias(end),
-            F.col("nbrs").alias(nbrs),
-            F.col("norm").alias(f"norm_{end}"),
-            *(F.col(c).alias(f"{c}_{end}") for c in extra),
+    @staticmethod
+    def from_edges(u: np.ndarray, v: np.ndarray, w: np.ndarray, num_vertices: int) -> "CSR":
+        """The CSR of the canonical edges (u, v, w), each listed once."""
+        src, dst = np.concatenate((u, v)), np.concatenate((v, u))
+        wt = np.concatenate((w, w)).astype(np.float64)
+        order = np.lexsort((dst, src))
+        src, dst = src[order], dst[order]
+        counts = np.bincount(src, minlength=num_vertices + 1)
+        return CSR(
+            off=np.concatenate(([0], np.cumsum(counts))),
+            nbr=dst,
+            wt=wt[order],
+            key=src * (num_vertices + 1) + dst,
+            num_vertices=num_vertices,
         )
 
-    return edges.join(side("u", "nu"), "u").join(side("v", "nv"), "v")
+    @property
+    def degrees(self) -> np.ndarray:
+        """(n + 1,) int64: deg(v) at index v (index 0 is no vertex)."""
+        return np.diff(self.off)
+
+    @property
+    def src(self) -> np.ndarray:
+        """(2m,) int64: the vertex each neighbor entry belongs to."""
+        return self.key // (self.num_vertices + 1)
+
+    def edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """The canonical edges (u, v), u < v, ascending."""
+        src = self.src
+        keep = src < self.nbr
+        return src[keep], self.nbr[keep]
+
+    def find(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """The position of each pair (u, v) in the CSR, -1 for a non-edge."""
+        return self.find_keys(u * (self.num_vertices + 1) + v)
+
+    def find_keys(self, probe: np.ndarray) -> np.ndarray:
+        """The position of each key of ``probe`` in ``key``, -1 where absent."""
+        if not len(self.key):
+            return np.full(len(probe), -1)
+        pos = np.minimum(np.searchsorted(self.key, probe), len(self.key) - 1)
+        return np.where(self.key[pos] == probe, pos, -1)
+
+    def norms(self) -> np.ndarray:
+        """(n + 1,) sqrt(1 + Σ_{x∈N(v)} w(v, x)²): the weighted closed-
+        neighborhood 2-norm, with the implicit self weight w(v, v) = 1."""
+        return np.sqrt(1.0 + np.bincount(self.src, self.wt * self.wt, self.num_vertices + 1))
+
+    def closed(self, v: int, weighted: bool) -> tuple[np.ndarray, np.ndarray]:
+        """v's closed neighborhood: its ids ascending (uint64, v inserted
+        at weight 1) and their weights (all 1 unless ``weighted``)."""
+        lo, hi = self.off[v], self.off[v + 1]
+        nbrs = self.nbr[lo:hi]
+        at = np.searchsorted(nbrs, v)
+        xs = np.insert(nbrs, at, v).astype(np.uint64)
+        w = np.insert(self.wt[lo:hi], at, 1.0) if weighted else np.ones(len(xs))
+        return xs, w
 
 
-def common_neighbor_weights(g: UndirectedGraph, e: DataFrame) -> DataFrame:
-    """One row per common neighbor x of each edge of ``e``.
+def collect_csr(g: UndirectedGraph) -> CSR:
+    """The CSR of ``g``, from one collect of its edges."""
+    pdf = g.edges.select("u", "v", "w").toPandas()
+    return CSR.from_edges(
+        pdf["u"].to_numpy(np.int64),
+        pdf["v"].to_numpy(np.int64),
+        pdf["w"].to_numpy(np.float64),
+        g.num_vertices,
+    )
 
-    ``e`` carries the lists of :func:`with_neighbor_lists`; the result
-    keeps e's columns and adds (x, wux, wvx) with wux = w(u, x) and
-    wvx = w(v, x). An edge with no common neighbor keeps one row whose
-    x, wux and wvx are null. Both weights are looked up in the
-    adjacency: a map lookup per id would scan the map linearly.
+
+def common_neighbors(csr: CSR, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(t, cw) per edge (u[i], v[i]): t = |N(u) ∩ N(v)| and
+    cw = Σ_{x ∈ N(u)∩N(v)} w(u, x)·w(v, x).
+
+    Every neighbor x of the lower-degree endpoint a is probed as
+    ``b * (n + 1) + x`` in ``csr.key``, b being the other endpoint.
     """
-    adj = broadcast_if_small(g)(g.adjacency())
-    common = e.select(
-        "*", F.explode_outer(F.array_intersect("nu", "nv")).alias("x")
-    )
-    return common.join(
-        adj.select("u", F.col("v").alias("x"), F.col("w").alias("wux")),
-        ["u", "x"],
-        "left",
-    ).join(
-        adj.select(
-            F.col("u").alias("v"), F.col("v").alias("x"), F.col("w").alias("wvx")
-        ),
-        ["v", "x"],
-        "left",
-    )
+    deg = csr.degrees
+    swap = deg[u] > deg[v]
+    a, b = np.where(swap, v, u), np.where(swap, u, v)
+    cnt = deg[a]
+    edge = np.repeat(np.arange(len(u)), cnt)
+    # Position of each probed neighbor in a's list: a's offset plus its
+    # rank among the edge's probes.
+    first = np.cumsum(cnt) - cnt
+    at = np.arange(len(edge)) + np.repeat(csr.off[a] - first, cnt)
+    pos = csr.find_keys(np.repeat(b, cnt) * (csr.num_vertices + 1) + csr.nbr[at])
+    hit = pos >= 0
+    edge, at, pos = edge[hit], at[hit], pos[hit]
+    t = np.bincount(edge, minlength=len(u))
+    cw = np.bincount(edge, csr.wt[at] * csr.wt[pos], minlength=len(u))
+    return t, cw
+
+
+#: A task of :func:`map_with_csr`: called once per partition with the
+#: CSR, it returns the function applied to each Arrow batch.
+Task = Callable[[CSR], Callable[[pd.DataFrame], pd.DataFrame]]
+
+
+def map_with_csr(csr: CSR, rows: DataFrame, task: Task, schema: str) -> pd.DataFrame:
+    """``task`` over every batch of ``rows``, in one ``mapInPandas``
+    stage with the CSR broadcast; the output rows, collected.
+
+    The broadcast is destroyed once the rows are on the driver, so
+    nothing of the stage stays stored. A task keeps state across its
+    partition's batches (the sketch cache of an approximate build).
+    """
+    bc = rows.sparkSession.sparkContext.broadcast(csr)
+
+    def per_partition(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        fn = task(bc.value)
+        for pdf in batches:
+            yield fn(pdf)
+
+    try:
+        return rows.mapInPandas(per_partition, schema).toPandas()
+    finally:
+        bc.destroy()
 
 
 def triangle_edge_aggregates(g: UndirectedGraph) -> DataFrame:
@@ -112,15 +168,20 @@ def triangle_edge_aggregates(g: UndirectedGraph) -> DataFrame:
     ``cw``   = sum over common neighbors x of w(u,x) * w(v,x), the
     weighted-cosine numerator term (paper §4.1.1).
 
-    Only edges that appear in at least one triangle are returned.
+    Only edges that appear in at least one triangle are returned. The
+    rows are computed by :func:`common_neighbors` in one stage and
+    held by the driver.
     """
-    common = common_neighbor_weights(g, with_neighbor_lists(g, g.edges))
-    return (
-        common.groupBy("u", "v")
-        .agg(
-            F.count("x").alias("tri"),
-            F.sum(F.col("wux") * F.col("wvx")).alias("cw"),
-        )
-        .where(F.col("tri") > 0)
-    )
+    schema = "u long, v long, tri long, cw double"
 
+    def task(csr: CSR):
+        def batch(pdf: pd.DataFrame) -> pd.DataFrame:
+            u, v = pdf["u"].to_numpy(np.int64), pdf["v"].to_numpy(np.int64)
+            t, cw = common_neighbors(csr, u, v)
+            keep = t > 0
+            return pd.DataFrame({"u": u[keep], "v": v[keep], "tri": t[keep], "cw": cw[keep]})
+
+        return batch
+
+    rows = map_with_csr(collect_csr(g), g.edges.select("u", "v"), task, schema)
+    return g.spark.createDataFrame(rows, schema)

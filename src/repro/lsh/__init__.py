@@ -7,6 +7,11 @@
   weighted or unweighted closed neighborhoods.
 - :mod:`repro.lsh.minhash` — standard MinHash and k-partition MinHash
   (one-permutation hashing) + Jaccard estimates.
+
+Sketches are made in numpy from the closed neighborhoods of the CSR
+(:mod:`repro.graph.triangles`), and each scheme has one numpy
+estimator, which the approximate build's kernel and the public
+``*_edge_similarities`` both call.
 """
 from repro.lsh.minhash import minhash_edge_similarities, minhash_sketches
 from repro.lsh.simhash import simhash_edge_similarities, simhash_sketches

@@ -14,23 +14,20 @@ Two variants over *closed* neighborhoods (unweighted sets):
   bins are the sentinel -1.
 
 Sketches are int64 arrays of length k (uint64 hash values reinterpreted
-bit-identically; only equality is ever compared), made by the same
-``mapInPandas`` pass over the neighbor lists as SimHash's
-(:func:`repro.lsh.simhash.sketch_vertices`). The estimates are Spark
-SQL expressions: the match and empty-bin counts are ``zip_with`` over
-the two arrays, summed by ``aggregate``.
+bit-identically; only equality is ever compared), made from the CSR's
+closed neighborhoods like SimHash's (:mod:`repro.lsh.simhash`). The
+estimates are numpy (:func:`minhash_estimate`): the match and
+empty-bin counts are row sums of the two sketch matrices compared
+elementwise.
 """
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
-from pyspark.sql import Column, DataFrame
-from pyspark.sql import functions as F
+from pyspark.sql import DataFrame
 
 from repro.graph.graphframe import UndirectedGraph
 from repro.lsh.hashing import hash_tuple
-from repro.lsh.simhash import Kernel, count_pairs, scoped_lists, sketch_vertices, with_sketches
+from repro.lsh.simhash import Kernel, estimate_edges, sketch_rows
 
 EMPTY = -1  # OPH empty-bin sentinel (hash div k is always >= 0)
 VARIANTS = ("standard", "oph")
@@ -68,31 +65,21 @@ def minhash_sketches(
     scope: DataFrame | None = None,
 ) -> DataFrame:
     """(v, sketch: array<long>) — k-sample MinHash of closed sets."""
-    fn = minhash_kernel(k, seed, variant)
-    return sketch_vertices(scoped_lists(g, scope, weights=False), fn).select("v", "sketch")
+    return sketch_rows(g, minhash_kernel(k, seed, variant), weighted=False, scope=scope)
 
 
-def minhash_estimator(k: int, variant: str = "oph") -> Callable[[str, str], Column]:
-    """Estimated Jaccard of two sketch columns; null where either is."""
-
-    def est(a: str, b: str) -> Column:
-        sa, sb = F.col(a), F.col(b)
-        if variant == "standard":
-            return count_pairs(sa, sb, lambda x, y: (x == y).cast("int")) / F.lit(k)
-        match = count_pairs(sa, sb, lambda x, y: ((x == y) & (x != EMPTY)).cast("int"))
-        both_empty = count_pairs(
-            sa, sb, lambda x, y: ((x == EMPTY) & (y == EMPTY)).cast("int")
-        )
-        return match / F.greatest(F.lit(k) - both_empty, F.lit(1))
-
-    return est
+def minhash_estimate(a: np.ndarray, b: np.ndarray, k: int, variant: str = "oph") -> np.ndarray:
+    """Estimated Jaccard of each row pair of two (E, k) sketch matrices."""
+    if variant == "standard":
+        return (a == b).sum(axis=1) / k
+    match = ((a == b) & (a != EMPTY)).sum(axis=1)
+    both_empty = ((a == EMPTY) & (b == EMPTY)).sum(axis=1)
+    return match / np.maximum(k - both_empty, 1)
 
 
 def minhash_edge_similarities(
     edges: DataFrame, sketches: DataFrame, k: int, variant: str = "oph"
 ) -> DataFrame:
-    """(u, v, sim) — estimated Jaccard similarity for each edge row."""
-    est = minhash_estimator(k, variant)
-    return with_sketches(edges.select("u", "v"), sketches).select(
-        "u", "v", est("sk_u", "sk_v").alias("sim")
-    )
+    """(u, v, sim) — estimated Jaccard similarity for each edge row
+    whose endpoints both have a sketch."""
+    return estimate_edges(edges, sketches, lambda a, b: minhash_estimate(a, b, k, variant))

@@ -101,8 +101,9 @@ def test_high_k_simhash_classifies_edges_like_exact(sbm_small, exact_sims):
         .select("u", "v", "sim")
         .toPandas()
         .set_index(["u", "v"])["sim"]
+        .sort_index()
     )
-    exact = exact_sims(sbm_small, "cosine")
+    exact = exact_sims(sbm_small, "cosine").sort_index()
     for eps in (0.4, 0.6):
         flipped = ((est >= eps) != (exact >= eps))
         assert flipped.mean() < 0.05

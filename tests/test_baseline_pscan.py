@@ -2,9 +2,8 @@
 agreement with the index engine (paper: all SCAN variants return the
 same clustering up to ambiguous border assignment)."""
 import pytest
-from pyspark.sql import functions as F
 
-from repro.baselines.pscan import _bounds, _with_endpoint_degrees, pscan_query
+from repro.baselines.pscan import _bounds, pscan_query
 from repro.core.query import query_clusters
 from repro.core.similarity import edge_similarities
 
@@ -14,13 +13,11 @@ PARAMS = [(2, 0.2), (3, 0.4), (3, 0.6), (5, 0.5), (2, 0.8), (4, 0.7)]
 @pytest.mark.parametrize("measure", ["cosine", "jaccard"])
 def test_bounds_are_sound(sbm_small, measure):
     """lb <= sigma <= ub for every edge — the pruning precondition."""
-    lb, ub = _bounds(measure)
-    bounds = (
-        _with_endpoint_degrees(sbm_small, sbm_small.edges)
-        .select("u", "v", lb.alias("lb"), ub.alias("ub"))
-        .toPandas()
-        .set_index(["u", "v"])
-    )
+    pdf = sbm_small.to_pandas()
+    deg = dict(sbm_small.degrees().toPandas().itertuples(index=False))
+    du, dv = pdf["u"].map(deg).to_numpy(), pdf["v"].map(deg).to_numpy()
+    lb, ub = _bounds(measure, du, dv)
+    bounds = pdf.assign(lb=lb, ub=ub).set_index(["u", "v"])
     sims = (
         edge_similarities(sbm_small, measure).toPandas().set_index(["u", "v"])["sim"]
     )

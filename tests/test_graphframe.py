@@ -23,6 +23,15 @@ def test_canonical_edges_preserves_weights(spark):
     assert (out["u"], out["v"], out["w"]) == (1, 2, 0.25)
 
 
+def test_from_edge_list_canonicalizes(spark):
+    """from_pandas orients, drops self-loops and keeps each edge once
+    (its first weight) before its one upload."""
+    g = UndirectedGraph.from_edge_list(
+        spark, [(2, 1, 0.5), (1, 2, 0.7), (3, 3, 1.0), (4, 3, 2.0)], 4, weighted=True
+    )
+    assert list(map(tuple, g.to_pandas().to_numpy())) == [(1, 2, 0.5), (3, 4, 2.0)]
+
+
 def test_from_edge_list_and_counts(spark):
     g = UndirectedGraph.from_edge_list(spark, [(1, 2), (2, 3)], num_vertices=4)
     assert g.num_edges() == 2

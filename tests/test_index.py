@@ -86,8 +86,8 @@ def test_save_load_roundtrip(fig1_index, tmp_path, spark):
 
 
 def test_neighbor_order_is_the_only_stored_frame():
-    frames = [f.name for f in dataclasses.fields(SCANIndex) if f.type == "DataFrame"]
-    assert frames == ["neighbor_order"]
+    frames = [f.name for f in dataclasses.fields(SCANIndex) if "DataFrame" in f.type]
+    assert frames == ["_neighbor_order"]
 
 
 def test_saved_index_derives_core_order(sbm_small_index, tmp_path, spark):
@@ -157,9 +157,9 @@ def test_persisted_index_plan_is_a_scan_of_stored_rows(sbm_small_index):
 
 
 def test_build_is_few_spark_jobs(spark, sbm_small):
-    """The exact build stores the neighbor lists once (their groupBy
-    and the checkpoint), broadcasts them to both edge joins and
-    collects the similarities once."""
+    """The exact build is two Spark jobs: the collect of the edges for
+    the CSR, and the one kernel stage over the edges with its collect
+    of the similarities."""
     sc = spark.sparkContext
     sc.setJobGroup("test_build_is_few_spark_jobs", "exact build")
     try:
@@ -167,13 +167,12 @@ def test_build_is_few_spark_jobs(spark, sbm_small):
     finally:
         sc.setLocalProperty("spark.jobGroup.id", None)
     idx.unpersist()
-    assert len(sc.statusTracker().getJobIdsForGroup("test_build_is_few_spark_jobs")) <= 5
+    assert len(sc.statusTracker().getJobIdsForGroup("test_build_is_few_spark_jobs")) <= 2
 
 
 def test_approx_build_is_few_spark_jobs(spark, dense_small):
-    """The SimHash build stores one per-vertex table (the neighbor-list
-    groupBy and the checkpoint of the sketched lists), broadcasts it to
-    both edge joins and collects the similarities once."""
+    """The SimHash build is the exact build's two Spark jobs: the
+    sketches are made inside the one kernel stage."""
     sc = spark.sparkContext
     sc.setJobGroup("test_approx_build_is_few_spark_jobs", "approx build")
     try:
@@ -182,7 +181,7 @@ def test_approx_build_is_few_spark_jobs(spark, dense_small):
         sc.setLocalProperty("spark.jobGroup.id", None)
     idx.unpersist()
     jobs = sc.statusTracker().getJobIdsForGroup("test_approx_build_is_few_spark_jobs")
-    assert len(jobs) <= 5
+    assert len(jobs) <= 2
 
 
 def _cached_rdd_ids(spark) -> set[int]:
@@ -207,14 +206,28 @@ def test_unpersist_frees_everything_the_build_cached(spark, sbm_small, kind):
         query_clusters(idx, 3, 0.5)
 
 
+@pytest.mark.parametrize("kind", ["exact", "approx"])
+def test_build_destroys_its_broadcast(spark, sbm_small, monkeypatch, kind):
+    """A build ships the CSR in one broadcast and destroys it once the
+    similarities are collected."""
+    sc = spark.sparkContext
+    made, broadcast = [], sc.broadcast
+    monkeypatch.setattr(sc, "broadcast", lambda value: made.append(broadcast(value)) or made[-1])
+    if kind == "exact":
+        build_index(sbm_small, "cosine").unpersist()
+    else:
+        build_approx_index(sbm_small, 2, "cosine")[0].unpersist()
+    assert len(made) == 1
+    assert not made[0]._jbroadcast.isValid()
+
+
 def test_approx_edge_similarities_leaves_only_its_result_stored(spark, dense_small):
-    """The per-vertex table is released inside the call; unpersisting
-    the returned frame frees the rest."""
+    """The call stores nothing: its result is a frame of the rows it
+    collected, and its CSR broadcast is destroyed."""
     before = _cached_rdd_ids(spark)
     sims, stats = approx_edge_similarities(dense_small, 8, "cosine")
-    assert stats.n_edges_approx > 0  # the table carried sketches
-    assert len(_cached_rdd_ids(spark) - before) == 1
-    sims.unpersist(blocking=True)
+    assert stats.n_edges_approx > 0  # the kernel sketched
+    assert sims.count() == dense_small.num_edges()
     assert _cached_rdd_ids(spark) - before == set()
 
 

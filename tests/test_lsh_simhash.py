@@ -114,6 +114,14 @@ def test_scope_restricts_sketched_vertices(fig1, spark):
     assert set(sk["v"]) == {1, 2, 3}
 
 
+def test_scope_skips_isolated_and_unknown_vertices(with_isolated, spark):
+    """Only scope vertices with a neighbor get a sketch, once each; a
+    batch left with none is an empty batch, not an error."""
+    scope = spark.createDataFrame(pd.DataFrame({"v": [1, 5, 2, 2, 99]}))
+    sk = simhash_sketches(with_isolated, 16, 0, scope=scope).toPandas()
+    assert sk["v"].tolist() == [2]
+
+
 @pytest.fixture
 def arrow_batches_of_7(spark):
     key = "spark.sql.execution.arrow.maxRecordsPerBatch"
@@ -140,9 +148,9 @@ def _reference_sketch(scheme: str, xs: np.ndarray, w: np.ndarray, k: int, seed: 
 
 @pytest.mark.parametrize("scheme", ["simhash", "standard", "oph"])
 def test_sketches_whole_across_arrow_batches(spark, weighted_small, arrow_batches_of_7, scheme):
-    """With 7-row Arrow batches most closed neighborhoods straddle two
-    batches; each vertex still gets one sketch, of its whole closed
-    neighborhood."""
+    """With 7-row Arrow batches each task sketches its vertices over
+    many batches; each vertex still gets one sketch, of its whole
+    closed neighborhood read from the CSR."""
     g, k, seed = weighted_small, 24, 3
     scope_ids = list(range(1, g.num_vertices + 1, 2))
     scope = spark.createDataFrame(pd.DataFrame({"v": scope_ids}))
