@@ -1,11 +1,15 @@
 """spark-submit entrypoint — Figure 8: approximate index construction.
 
 Usage: spark-submit jobs/run_fig8_approx_construction.py [dataset ...]
+
+Prints the rows and records them as one run under ``fig8`` in
+``results/experiments.json``, with the git SHA, core count and shuffle
+partitions; runs of the same code accumulate there.
 """
 import sys
 
 from repro.experiments.exp_approx_construction import run
-from repro.experiments.harness import format_table, get_session
+from repro.experiments.harness import format_table, get_session, record_run
 
 
 def main() -> None:
@@ -13,6 +17,8 @@ def main() -> None:
     names = sys.argv[1:] or None
     rows = run(spark, names)
     print(format_table(rows, "Figure 8: approximate index construction time"))
+    entry = record_run(spark, "fig8", rows)
+    print(f"recorded run {len(entry['runs'])} of {entry['git_sha']} under fig8")
 
 
 if __name__ == "__main__":

@@ -11,14 +11,16 @@ whose endpoints **both** exceed a degree threshold (k for cosine, 3k/2
 for Jaccard) use sketches; everything else is computed exactly.
 
 The build is the exact build's one stage with a second branch in its
-kernel: the driver collects the CSR (:mod:`repro.graph.triangles`),
-and each task of one ``mapInPandas`` stage over the edges splits every
-batch by the endpoint degrees. An exact edge takes the formula of
-:func:`repro.core.similarity.exact_kernel`; an approximated edge the
-numpy estimate of its endpoints' sketches, each vertex sketched once
-per task from its closed neighborhood in the CSR. One collect brings
-the similarities to the driver, which ranks NO (:mod:`repro.core.index`)
-and counts the split from the CSR degrees.
+kernel. The driver collects the CSR (:mod:`repro.graph.triangles`) and
+sketches every vertex above the threshold once per build, from one
+hash table per scheme (:func:`repro.lsh.simhash.simhash_matrix`,
+:func:`repro.lsh.minhash.minhash_matrix`); the sketch matrix rides in
+the CSR's broadcast to one ``mapInPandas`` stage over the edges. Each
+task splits every batch by the endpoint degrees: an exact edge takes
+the formula of :func:`repro.core.similarity.exact_kernel`, an
+approximated edge the numpy estimate of its endpoints' rows of the
+matrix. One collect brings the similarities to the driver, which ranks
+NO (:mod:`repro.core.index`) and counts the split from the CSR degrees.
 """
 from __future__ import annotations
 
@@ -39,8 +41,8 @@ from repro.core.similarity import (
 )
 from repro.graph.graphframe import UndirectedGraph
 from repro.graph.triangles import CSR, collect_csr
-from repro.lsh.minhash import minhash_estimate, minhash_kernel
-from repro.lsh.simhash import Estimator, Kernel, simhash_estimate, simhash_kernel
+from repro.lsh.minhash import minhash_estimate, minhash_matrix
+from repro.lsh.simhash import Estimator, simhash_estimate, simhash_matrix
 
 
 @dataclass
@@ -60,34 +62,15 @@ def degree_threshold(measure: str, k: int) -> float:
     return 1.5 * k if measure == "jaccard" else float(k)
 
 
-class SketchCache:
-    """The sketches of one task's vertices, each made once, as rows of
-    one matrix."""
-
-    def __init__(self, csr: CSR, sketch: Kernel, weighted: bool):
-        self.csr, self.sketch, self.weighted = csr, sketch, weighted
-        self.row = np.full(csr.num_vertices + 1, -1)
-        self.mat: np.ndarray | None = None
-
-    def __call__(self, vs: np.ndarray) -> np.ndarray:
-        """The sketches of ``vs``, one row each."""
-        new = np.unique(vs[self.row[vs] < 0])
-        if len(new):
-            made = np.stack([self.sketch(*self.csr.closed(v, self.weighted)) for v in new])
-            start = 0 if self.mat is None else len(self.mat)
-            self.row[new] = np.arange(start, start + len(new))
-            self.mat = made if self.mat is None else np.concatenate((self.mat, made))
-        return self.mat[self.row[vs]]
-
-
 def approx_kernel(
-    csr: CSR, measure: str, thr: float, sketch: Kernel, estimate: Estimator
+    csr: CSR, sketches: np.ndarray, measure: str, thr: float, estimate: Estimator
 ) -> EdgeKernel:
     """Similarity of edges of ``csr``: estimated where both endpoints'
-    degrees exceed ``thr``, exact elsewhere."""
+    degrees exceed ``thr``, exact elsewhere. ``sketches`` holds one row
+    per vertex above ``thr``, in id order."""
     exact = exact_kernel(csr, measure)
     above = csr.degrees > thr
-    sketches = SketchCache(csr, sketch, weighted=measure == "wcosine")
+    row = np.cumsum(above) - 1  # a vertex's row in sketches, if above
 
     def sims(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
         approx = above[u] & above[v]
@@ -95,7 +78,7 @@ def approx_kernel(
         ex = ~approx
         out[ex] = exact(u[ex], v[ex], w[ex])
         if approx.any():
-            out[approx] = estimate(sketches(u[approx]), sketches(v[approx]))
+            out[approx] = estimate(sketches[row[u[approx]]], sketches[row[v[approx]]])
         return out
 
     return sims
@@ -107,14 +90,16 @@ def _approx_rows(
     """(u, v, w, sim) per edge, collected, and the §6.3 split."""
     check_measure(measure)
     thr = degree_threshold(measure, k) if use_degree_heuristic else 0.0
-    if measure == "jaccard":
-        sketch, estimate = minhash_kernel(k, seed), partial(minhash_estimate, k=k)
-    else:
-        sketch, estimate = simhash_kernel(k, seed), partial(simhash_estimate, k=k)
     csr = collect_csr(g)
-    rows = similarity_rows(
-        csr, g.edges, lambda c: approx_kernel(c, measure, thr, sketch, estimate)
-    )
+    vs = np.flatnonzero(csr.degrees > thr)
+    if measure == "jaccard":
+        sketches = minhash_matrix(csr, vs, k, seed)
+        estimate = partial(minhash_estimate, k=k)
+    else:
+        sketches = simhash_matrix(csr, vs, k, seed, weighted=measure == "wcosine")
+        estimate = partial(simhash_estimate, k=k)
+    kernel = partial(approx_kernel, measure=measure, thr=thr, estimate=estimate)
+    rows = similarity_rows(csr, g.edges, kernel, sketches)
     return rows, _stats(csr, rows, thr)
 
 

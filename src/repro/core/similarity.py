@@ -65,14 +65,15 @@ def exact_kernel(csr: CSR, measure: str) -> EdgeKernel:
 
 
 def similarity_rows(
-    csr: CSR, edges: DataFrame, kernel: Callable[[CSR], EdgeKernel]
+    csr: CSR, edges: DataFrame, kernel: Callable[..., EdgeKernel], *extra: object
 ) -> pd.DataFrame:
     """(u, v, w, sim) for every row of ``edges`` (u, v) that is an edge
-    of ``csr``, from one stage: each task makes ``kernel(csr)`` once
-    and applies it to every batch of its partition."""
+    of ``csr``, from one stage: each task makes ``kernel(csr, *extra)``
+    once, ``extra`` broadcast with the CSR, and applies it to every
+    batch of its partition."""
 
-    def task(csr: CSR):
-        sims = kernel(csr)
+    def task(csr: CSR, *extra: object):
+        sims = kernel(csr, *extra)
 
         def batch(pdf: pd.DataFrame) -> pd.DataFrame:
             u, v = pdf["u"].to_numpy(np.int64), pdf["v"].to_numpy(np.int64)
@@ -83,7 +84,7 @@ def similarity_rows(
 
         return batch
 
-    return map_with_csr(csr, edges.select("u", "v"), task, SIM_SCHEMA)
+    return map_with_csr(csr, edges.select("u", "v"), task, SIM_SCHEMA, *extra)
 
 
 def exact_rows(csr: CSR, edges: DataFrame, measure: str) -> pd.DataFrame:

@@ -1,7 +1,11 @@
-"""Timing and table-formatting utilities shared by all experiments."""
+"""Timing, recording and table-formatting utilities shared by all
+experiments."""
 from __future__ import annotations
 
+import json
+import subprocess
 import time
+from pathlib import Path
 from typing import Any, Callable
 
 from pyspark.sql import SparkSession
@@ -12,6 +16,9 @@ from pyspark.sql import SparkSession
 #: orkut_lite build took 2.45–2.98 s at 4 and 3.7–4.65 s at 32. The
 #: benchmark's own session (scanbench/session.py) pins the same value.
 SHUFFLE_PARTITIONS = 4
+#: The checkout this package runs from, and the file of recorded rows.
+ROOT = Path(__file__).resolve().parents[3]
+RESULTS = ROOT / "results" / "experiments.json"
 
 
 def get_session(app: str = "repro") -> SparkSession:
@@ -19,8 +26,9 @@ def get_session(app: str = "repro") -> SparkSession:
 
     Master and driver memory are launch arguments, read once when the
     JVM starts (``PYSPARK_SUBMIT_ARGS``); this sets the configs honoured
-    after launch. Auto-broadcast is off: the code hints the small
-    per-vertex tables it broadcasts itself.
+    after launch. Auto-broadcast is off: no plan here joins a table
+    small enough to gain from it, and the builds ship their one CSR
+    with ``sc.broadcast`` themselves.
     """
     return (
         SparkSession.builder.appName(app)
@@ -36,6 +44,46 @@ def timed(fn: Callable[[], Any]) -> tuple[Any, float]:
     t0 = time.perf_counter()
     out = fn()
     return out, time.perf_counter() - t0
+
+
+def git_sha() -> str:
+    """HEAD's short SHA, marked "-dirty" when a tracked file outside
+    ``results/`` differs from it; "unknown" outside a git checkout."""
+
+    def git(*args: str) -> str:
+        try:
+            out = subprocess.run(("git", *args), cwd=ROOT, capture_output=True, text=True)
+        except OSError:
+            return ""
+        return out.stdout.strip() if out.returncode == 0 else ""
+
+    sha = git("rev-parse", "--short", "HEAD")
+    if not sha:
+        return "unknown"
+    dirty = git("status", "--porcelain", "--untracked-files=no", "--", ".", ":!results")
+    return sha + ("-dirty" if dirty else "")
+
+
+def record_run(spark: SparkSession, key: str, rows: list[dict], path: Path = RESULTS) -> dict:
+    """Store ``rows`` as one run under ``key`` of the JSON file at
+    ``path``, with the git SHA, the cores of ``spark`` and its shuffle
+    partitions.
+
+    Runs of the same code and settings accumulate in ``runs``; a run
+    of other code or settings replaces them. Returns the stored entry.
+    """
+    entry = {
+        "git_sha": git_sha(),
+        "cores": spark.sparkContext.defaultParallelism,
+        "shuffle_partitions": int(spark.conf.get("spark.sql.shuffle.partitions")),
+    }
+    data = json.loads(path.read_text()) if path.exists() else {}
+    old = data.get(key)
+    same = isinstance(old, dict) and all(old.get(f) == v for f, v in entry.items())
+    entry["runs"] = (old["runs"] if same else []) + [rows]
+    data[key] = entry
+    path.write_text(json.dumps(data, indent=1) + "\n")
+    return entry
 
 
 def format_table(rows: list[dict], title: str = "") -> str:

@@ -2,8 +2,10 @@
 
 This is the substrate of every index build. The driver collects the
 canonical edges once (one Spark job) into a CSR: per-vertex offsets,
-each vertex's neighbor ids ascending and the weights beside them. One
-``sc.broadcast`` ships the CSR to the executors, one ``mapInPandas``
+each vertex's neighbor ids ascending and the weights beside them; it
+rejects edges that do not form a simple graph on 1..n. One
+``sc.broadcast`` ships the CSR (and an approximate build's sketch
+matrix) to the executors, one ``mapInPandas``
 stage over the edge partitions runs a numpy kernel on every Arrow
 batch, and one collect brings its rows back; the broadcast is
 destroyed then (:func:`map_with_csr`). So every build is two Spark
@@ -43,17 +45,35 @@ class CSR:
 
     @staticmethod
     def from_edges(u: np.ndarray, v: np.ndarray, w: np.ndarray, num_vertices: int) -> "CSR":
-        """The CSR of the canonical edges (u, v, w), each listed once."""
+        """The CSR of the canonical edges (u, v, w), each listed once.
+
+        Raises ValueError unless every id lies in 1..num_vertices, every
+        edge has u < v, no pair appears twice and every weight is finite
+        and positive: a build over such rows would answer silently wrong.
+        """
+        if len(u):
+            lo, hi = min(u.min(), v.min()), max(u.max(), v.max())
+            if lo < 1 or hi > num_vertices:
+                raise ValueError(
+                    f"vertex ids must lie in 1..{num_vertices}, got ids in {lo}..{hi}"
+                )
+            if not (u < v).all():
+                raise ValueError("every edge must have u < v")
+            if not (np.isfinite(w) & (w > 0)).all():
+                raise ValueError("edge weights must be finite and > 0")
         src, dst = np.concatenate((u, v)), np.concatenate((v, u))
         wt = np.concatenate((w, w)).astype(np.float64)
         order = np.lexsort((dst, src))
         src, dst = src[order], dst[order]
+        key = src * (num_vertices + 1) + dst
+        if (np.diff(key) == 0).any():
+            raise ValueError("an edge appears twice")
         counts = np.bincount(src, minlength=num_vertices + 1)
         return CSR(
             off=np.concatenate(([0], np.cumsum(counts))),
             nbr=dst,
             wt=wt[order],
-            key=src * (num_vertices + 1) + dst,
+            key=key,
             num_vertices=num_vertices,
         )
 
@@ -89,15 +109,21 @@ class CSR:
         neighborhood 2-norm, with the implicit self weight w(v, v) = 1."""
         return np.sqrt(1.0 + np.bincount(self.src, self.wt * self.wt, self.num_vertices + 1))
 
-    def closed(self, v: int, weighted: bool) -> tuple[np.ndarray, np.ndarray]:
-        """v's closed neighborhood: its ids ascending (uint64, v inserted
-        at weight 1) and their weights (all 1 unless ``weighted``)."""
-        lo, hi = self.off[v], self.off[v + 1]
-        nbrs = self.nbr[lo:hi]
-        at = np.searchsorted(nbrs, v)
-        xs = np.insert(nbrs, at, v).astype(np.uint64)
-        w = np.insert(self.wt[lo:hi], at, 1.0) if weighted else np.ones(len(xs))
-        return xs, w
+    def closed(
+        self, vs: np.ndarray, weighted: bool
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The closed neighborhoods of ``vs``, one after another: their
+        offsets (len(vs) + 1,), the ids of each ascending (v inserted at
+        weight 1) and their weights (all 1 unless ``weighted``)."""
+        cnt = self.degrees[vs]
+        # Position of each open neighbor in the CSR, as in common_neighbors.
+        first = np.cumsum(cnt) - cnt
+        at = np.arange(cnt.sum()) + np.repeat(self.off[vs] - first, cnt)
+        row = np.concatenate((np.repeat(np.arange(len(vs)), cnt), np.arange(len(vs))))
+        xs = np.concatenate((self.nbr[at], vs))
+        w = np.concatenate((self.wt[at] if weighted else np.ones(len(at)), np.ones(len(vs))))
+        order = np.lexsort((xs, row))
+        return np.concatenate(([0], np.cumsum(cnt + 1))), xs[order], w[order]
 
 
 def collect_csr(g: UndirectedGraph) -> CSR:
@@ -136,22 +162,26 @@ def common_neighbors(csr: CSR, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray
 
 
 #: A task of :func:`map_with_csr`: called once per partition with the
-#: CSR, it returns the function applied to each Arrow batch.
-Task = Callable[[CSR], Callable[[pd.DataFrame], pd.DataFrame]]
+#: CSR and any extra broadcast values, it returns the function applied
+#: to each Arrow batch.
+Task = Callable[..., Callable[[pd.DataFrame], pd.DataFrame]]
 
 
-def map_with_csr(csr: CSR, rows: DataFrame, task: Task, schema: str) -> pd.DataFrame:
+def map_with_csr(
+    csr: CSR, rows: DataFrame, task: Task, schema: str, *extra: object
+) -> pd.DataFrame:
     """``task`` over every batch of ``rows``, in one ``mapInPandas``
     stage with the CSR broadcast; the output rows, collected.
 
-    The broadcast is destroyed once the rows are on the driver, so
-    nothing of the stage stays stored. A task keeps state across its
-    partition's batches (the sketch cache of an approximate build).
+    ``extra`` rides in the same broadcast (the sketch matrix of an
+    approximate build) and is passed to ``task`` after the CSR. The
+    broadcast is destroyed once the rows are on the driver, so nothing
+    of the stage stays stored.
     """
-    bc = rows.sparkSession.sparkContext.broadcast(csr)
+    bc = rows.sparkSession.sparkContext.broadcast((csr, *extra))
 
     def per_partition(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        fn = task(bc.value)
+        fn = task(*bc.value)
         for pdf in batches:
             yield fn(pdf)
 

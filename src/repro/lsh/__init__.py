@@ -8,10 +8,11 @@
 - :mod:`repro.lsh.minhash` — standard MinHash and k-partition MinHash
   (one-permutation hashing) + Jaccard estimates.
 
-Sketches are made in numpy from the closed neighborhoods of the CSR
-(:mod:`repro.graph.triangles`), and each scheme has one numpy
-estimator, which the approximate build's kernel and the public
-``*_edge_similarities`` both call.
+Each vertex is sketched once per build, on the driver, from one hash
+table per scheme over the closed neighborhoods of the CSR
+(:mod:`repro.graph.triangles`). Each scheme has one sketch function and
+one numpy estimator, which the approximate build and the public
+``*_sketches`` / ``*_edge_similarities`` frames share.
 """
 from repro.lsh.minhash import minhash_edge_similarities, minhash_sketches
 from repro.lsh.simhash import simhash_edge_similarities, simhash_sketches

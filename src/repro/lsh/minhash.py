@@ -15,10 +15,12 @@ Two variants over *closed* neighborhoods (unweighted sets):
 
 Sketches are int64 arrays of length k (uint64 hash values reinterpreted
 bit-identically; only equality is ever compared), made from the CSR's
-closed neighborhoods like SimHash's (:mod:`repro.lsh.simhash`). The
-estimates are numpy (:func:`minhash_estimate`): the match and
-empty-bin counts are row sums of the two sketch matrices compared
-elementwise.
+closed neighborhoods like SimHash's (:mod:`repro.lsh.simhash`): every
+vertex is sketched once per build, on the driver, by
+:func:`minhash_matrix`, from one hash per id (OPH) or one ids × k hash
+table (standard). The estimates are numpy (:func:`minhash_estimate`):
+the match and empty-bin counts are row sums of the two sketch matrices
+compared elementwise.
 """
 from __future__ import annotations
 
@@ -26,35 +28,45 @@ import numpy as np
 from pyspark.sql import DataFrame
 
 from repro.graph.graphframe import UndirectedGraph
+from repro.graph.triangles import CSR
 from repro.lsh.hashing import hash_tuple
-from repro.lsh.simhash import Kernel, estimate_edges, sketch_rows
+from repro.lsh.simhash import estimate_edges, sketch_frame
 
 EMPTY = -1  # OPH empty-bin sentinel (hash div k is always >= 0)
 VARIANTS = ("standard", "oph")
 
 
-def minhash_kernel(k: int, seed: int, variant: str = "oph") -> Kernel:
-    """The k-sample MinHash of one closed set; weights are ignored."""
+def check_variant(variant: str) -> None:
     if variant not in VARIANTS:
         raise ValueError(f"unknown MinHash variant {variant!r}")
 
-    def sketch_standard(xs: np.ndarray, w: np.ndarray) -> np.ndarray:
+
+def minhash_matrix(
+    csr: CSR, vs: np.ndarray, k: int, seed: int, variant: str = "oph"
+) -> np.ndarray:
+    """(len(vs), k) int64: the k-sample MinHash of each closed set of
+    ``vs``; weights are ignored. Each id is hashed once, whatever the
+    number of sets it lies in."""
+    check_variant(variant)
+    off, xs, _ = csr.closed(vs, weighted=False)
+    ids, at = np.unique(xs, return_inverse=True)
+    ids = ids.astype(np.uint64)
+    if variant == "standard":
         j = np.arange(k, dtype=np.uint64)
-        h = hash_tuple(seed, xs[:, None], j[None, :], salt=0x7A)  # (d, k)
-        return h.min(axis=0).view(np.int64)
-
-    def sketch_oph(xs: np.ndarray, w: np.ndarray) -> np.ndarray:
-        h = hash_tuple(seed, xs, salt=0x7B)
-        bins = (h % np.uint64(k)).astype(np.int64)
-        vals = (h // np.uint64(k)).view(np.int64)  # < 2**63 for k >= 2
-        # Seed with int64-max (vals are nonnegative and strictly
-        # smaller), then mark untouched bins with the EMPTY sentinel.
-        hi = np.iinfo(np.int64).max
-        out = np.full(k, hi, dtype=np.int64)
-        np.minimum.at(out, bins, vals)
-        return np.where(out == hi, EMPTY, out)
-
-    return sketch_standard if variant == "standard" else sketch_oph
+        table = hash_tuple(seed, ids[:, None], j[None, :], salt=0x7A)  # (ids, k)
+        out = np.empty((len(vs), k), np.uint64)
+        for i, (lo, hi) in enumerate(zip(off[:-1], off[1:])):
+            out[i] = table[at[lo:hi]].min(axis=0)
+        return out.view(np.int64)
+    h = hash_tuple(seed, ids, salt=0x7B)[at]
+    bins = (h % np.uint64(k)).astype(np.int64)
+    row = np.repeat(np.arange(len(vs)), np.diff(off))
+    # Minimum of h div k per (set, bin), seeded with the largest uint64
+    # (h div k is smaller for every k >= 2); untouched bins are EMPTY.
+    hi = np.iinfo(np.uint64).max
+    out = np.full((len(vs), k), hi, np.uint64)
+    np.minimum.at(out, (row, bins), h // np.uint64(k))
+    return np.where(out == hi, EMPTY, out.view(np.int64))
 
 
 def minhash_sketches(
@@ -65,7 +77,8 @@ def minhash_sketches(
     scope: DataFrame | None = None,
 ) -> DataFrame:
     """(v, sketch: array<long>) — k-sample MinHash of closed sets."""
-    return sketch_rows(g, minhash_kernel(k, seed, variant), weighted=False, scope=scope)
+    check_variant(variant)
+    return sketch_frame(g, lambda csr, vs: minhash_matrix(csr, vs, k, seed, variant), scope)
 
 
 def minhash_estimate(a: np.ndarray, b: np.ndarray, k: int, variant: str = "oph") -> np.ndarray:

@@ -4,11 +4,13 @@ A vertex v is the vector of its *closed* neighborhood weights (diagonal
 w(v, v) = 1). Sample j of its sketch is sign(Σ_x w(v,x) · r_j(x)) where
 r_j(x) ~ N(0, 1) is derived deterministically from (seed, x, j)
 (:func:`repro.lsh.hashing.gaussians`). The parallel "reduce per sample"
-of §5 becomes one kernel call per vertex over its closed neighborhood
-``nbrs ∪ {v}``, read from the CSR of :mod:`repro.graph.triangles`: the
-approximate build (:mod:`repro.core.approx`) sketches each vertex it
-needs once per task of its one stage, and :func:`sketch_rows` sketches
-a set of vertices in a stage of its own.
+of §5 becomes one product per vertex over its closed neighborhood
+``nbrs ∪ {v}``, read from the CSR of :mod:`repro.graph.triangles`.
+Every vertex is sketched once per build, on the driver, by
+:func:`simhash_matrix`: one table of gaussians over the ids of the
+sketched closed neighborhoods, then ``w @ G[xs]`` per vertex. The
+approximate build (:mod:`repro.core.approx`) ships the resulting
+matrix in the CSR's broadcast, and :func:`simhash_sketches` frames it.
 
 A sketch is ceil(k / 64) int64 words: sample j is bit 63 - (j mod 64)
 of word j div 64, and the bits past k are 0. The estimate for an edge
@@ -26,12 +28,11 @@ import pandas as pd
 from pyspark.sql import DataFrame
 
 from repro.graph.graphframe import UndirectedGraph
-from repro.graph.triangles import CSR, collect_csr, map_with_csr
+from repro.graph.triangles import CSR, collect_csr
 from repro.lsh.hashing import gaussians
 
-#: ``sketch(xs, w)`` of one closed neighborhood: its ids ``xs`` (uint64,
-#: ascending) and their weights ``w``, to an int64 array.
-Kernel = Callable[[np.ndarray, np.ndarray], np.ndarray]
+#: ``sketch(csr, vs)``: the sketches of vertices ``vs``, one row each.
+Sketcher = Callable[[CSR, np.ndarray], np.ndarray]
 #: ``estimate(a, b)``: one similarity per row pair of two sketch matrices.
 Estimator = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -40,31 +41,23 @@ SKETCH_SCHEMA = "v long, sketch array<long>"
 _POPCOUNT = np.array([bin(i).count("1") for i in range(256)], np.int64)
 
 
-def sketch_rows(
-    g: UndirectedGraph, sketch: Kernel, weighted: bool, scope: DataFrame | None = None
+def sketch_frame(
+    g: UndirectedGraph, sketch: Sketcher, scope: DataFrame | None = None
 ) -> DataFrame:
     """(v, sketch) of each vertex of degree ≥ 1 in ``scope`` (a (v)
-    frame; every vertex if None), from one stage over the CSR.
-
-    Each vertex's sketch is of its closed neighborhood, with the edge
-    weights if ``weighted`` and unit weights otherwise.
-    """
-    vertices = g.vertices() if scope is None else scope.select("v")
-
-    def task(csr: CSR):
-        deg = csr.degrees
-
-        def batch(pdf: pd.DataFrame) -> pd.DataFrame:
-            vs = pdf["v"].to_numpy(np.int64)
-            vs = vs[(vs >= 1) & (vs <= csr.num_vertices)]
-            vs = vs[deg[vs] > 0]
-            sketches = [sketch(*csr.closed(v, weighted)) for v in vs]
-            return pd.DataFrame({"v": vs, "sketch": pd.Series(sketches, dtype=object)})
-
-        return batch
-
-    rows = map_with_csr(collect_csr(g), vertices, task, SKETCH_SCHEMA)
-    return g.spark.createDataFrame(rows.drop_duplicates("v"), SKETCH_SCHEMA)
+    frame; every vertex if None), each sketched once on the driver by
+    ``sketch``."""
+    csr = collect_csr(g)
+    if scope is None:
+        vs = np.arange(1, g.num_vertices + 1)
+    else:
+        vs = np.unique(scope.select("v").toPandas()["v"].to_numpy(np.int64))
+        vs = vs[(vs >= 1) & (vs <= g.num_vertices)]
+    vs = vs[csr.degrees[vs] > 0]
+    if not len(vs):
+        return g.spark.createDataFrame([], SKETCH_SCHEMA)
+    rows = pd.DataFrame({"v": vs, "sketch": list(sketch(csr, vs))})
+    return g.spark.createDataFrame(rows, SKETCH_SCHEMA)
 
 
 def estimate_edges(edges: DataFrame, sketches: DataFrame, estimate: Estimator) -> DataFrame:
@@ -85,19 +78,31 @@ def estimate_edges(edges: DataFrame, sketches: DataFrame, estimate: Estimator) -
 
 
 def pack_words(bits: np.ndarray) -> np.ndarray:
-    """k bits as ceil(k / 64) int64 words, first bit highest, padded with 0s."""
-    padded = np.zeros(-(-len(bits) // 64) * 64, bool)
-    padded[: len(bits)] = bits
-    return np.packbits(padded).view(">i8").astype(np.int64)
+    """k bits (the last axis) as ceil(k / 64) int64 words, first bit
+    highest, padded with 0s."""
+    k = bits.shape[-1]
+    padded = np.zeros(bits.shape[:-1] + (-(-k // 64) * 64,), bool)
+    padded[..., :k] = bits
+    return np.packbits(padded, axis=-1).view(">i8").astype(np.int64)
 
 
-def simhash_kernel(k: int, seed: int) -> Kernel:
-    """The k-sample SimHash of one closed neighborhood, as words."""
+def simhash_matrix(csr: CSR, vs: np.ndarray, k: int, seed: int, weighted: bool) -> np.ndarray:
+    """(len(vs), ceil(k / 64)) int64: the k-sample SimHash of each closed
+    neighborhood of ``vs``, with the edge weights if ``weighted`` and
+    unit weights otherwise.
 
-    def sketch(xs: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return pack_words(w @ gaussians(seed, xs, k) >= 0.0)  # signs of (k,) projections
-
-    return sketch
+    The gaussians are drawn once, for the ids of those neighborhoods;
+    each vertex's projections are then ``w @ G[xs]`` over its own list,
+    the same product, summed in the same order, as drawing its rows
+    alone.
+    """
+    off, xs, w = csr.closed(vs, weighted)
+    ids, at = np.unique(xs, return_inverse=True)
+    table = gaussians(seed, ids, k)
+    proj = np.empty((len(vs), k))
+    for i, (lo, hi) in enumerate(zip(off[:-1], off[1:])):
+        proj[i] = w[lo:hi] @ table[at[lo:hi]]
+    return pack_words(proj >= 0.0)  # signs of the (k,) projections
 
 
 def simhash_estimate(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
@@ -114,7 +119,9 @@ def simhash_sketches(
     its edge weights, as int64 words; ``scope`` (a (v) DataFrame)
     restricts which vertices get sketched (every vertex of degree ≥ 1
     if None)."""
-    return sketch_rows(g, simhash_kernel(k, seed), weighted=True, scope=scope)
+    return sketch_frame(
+        g, lambda csr, vs: simhash_matrix(csr, vs, k, seed, weighted=True), scope
+    )
 
 
 def simhash_edge_similarities(

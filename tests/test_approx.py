@@ -1,8 +1,11 @@
 """Approximate index construction: the §6.3 degree heuristic, the
 exact-fallback guarantee, and end-to-end approximate clustering."""
+import numpy as np
+import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
+from repro.core import approx as approx_module
 from repro.core.approx import (
     approx_edge_similarities,
     build_approx_index,
@@ -11,8 +14,10 @@ from repro.core.approx import (
 from repro.core.index import build_index
 from repro.core.query import query_clusters
 from repro.core.similarity import edge_similarities
-from repro.lsh.minhash import minhash_edge_similarities, minhash_sketches
-from repro.lsh.simhash import simhash_edge_similarities, simhash_sketches
+from repro.lsh.minhash import minhash_estimate
+from repro.lsh.simhash import simhash_estimate
+from tests.test_index import _cached_rdd_ids
+from tests.test_lsh_simhash import _closed_sets, _reference_sketch
 
 
 def test_degree_thresholds_match_paper():
@@ -144,37 +149,62 @@ def test_stats_fields(dense_small):
     [("dense_small", "cosine", 12), ("dense_small", "jaccard", 8), ("weighted_small", "wcosine", 8)],
 )
 def test_approx_build_equals_its_building_blocks(request, graph, measure, k):
-    """The one-pass build gives, bit for bit, the public sketch and
-    estimate functions' similarity on the approximated edges and the
-    exact build's on the rest."""
+    """The one-pass build gives, bit for bit, the estimate of each
+    vertex's sketch drawn alone on the approximated edges and the exact
+    build's similarity on the rest."""
     g = request.getfixturevalue(graph)
     seed = 3
     idx, stats = build_approx_index(g, k, measure, seed=seed)
-    got = (
-        idx.neighbor_order.where(F.col("u") < F.col("v"))
-        .select("u", "v", "sim")
-        .toPandas()
-        .set_index(["u", "v"])["sim"]
-    )
+    got = idx.arrays.rows().query("u < v").set_index(["u", "v"])["sim"]
     idx.unpersist()
+    edges = g.to_pandas()
+    deg = pd.concat([edges["u"], edges["v"]]).value_counts()
     thr = degree_threshold(measure, k)
-    deg = g.degrees()
-    approx = (
-        g.edges.join(deg.select(F.col("v").alias("u"), F.col("deg").alias("du")), "u")
-        .join(deg.select("v", F.col("deg").alias("dv")), "v")
-        .where((F.col("du") > thr) & (F.col("dv") > thr))
-        .select("u", "v")
-    )
-    scope = approx.select(F.col("u").alias("v")).union(approx.select("v")).distinct()
-    if measure == "jaccard":
-        est = minhash_edge_similarities(approx, minhash_sketches(g, k, seed, scope=scope), k)
-    else:
-        est = simhash_edge_similarities(approx, simhash_sketches(g, k, seed, scope=scope), k)
-    est = est.toPandas().set_index(["u", "v"])["sim"]
+    approx = edges[(deg[edges["u"]].to_numpy() > thr) & (deg[edges["v"]].to_numpy() > thr)]
+    closed = _closed_sets(g, weighted=measure == "wcosine")
+    scheme = "oph" if measure == "jaccard" else "simhash"
+
+    def sketches(vs) -> np.ndarray:
+        rows = [_reference_sketch(scheme, *closed[v], k, seed) for v in vs]
+        if scheme == "oph":
+            return np.array(rows, np.int64)
+        words = -(-k // 64)
+        return np.stack(
+            [np.frombuffer(r.ljust(8 * words, b"\0"), ">i8").astype(np.int64) for r in rows]
+        )
+
+    a, b = sketches(approx["u"]), sketches(approx["v"])
+    est = minhash_estimate(a, b, k) if scheme == "oph" else simhash_estimate(a, b, k)
     want = edge_similarities(g, measure).toPandas().set_index(["u", "v"])["sim"]
-    assert 0 < len(est) == stats.n_edges_approx < len(want)  # a mixed split
-    want.loc[est.index] = est
+    assert 0 < len(approx) == stats.n_edges_approx < len(want)  # a mixed split
+    want.loc[pd.MultiIndex.from_frame(approx[["u", "v"]])] = est
     assert got.sort_index().equals(want.sort_index())
+
+
+@pytest.mark.parametrize("measure", ["cosine", "wcosine", "jaccard"])
+def test_each_vertex_is_sketched_once_per_build(spark, weighted_small, monkeypatch, measure):
+    """One call of the driver's sketch function per build makes one row
+    per vertex above the threshold, and the build leaves no block
+    stored and no broadcast alive."""
+    made = []
+    for name in ("simhash_matrix", "minhash_matrix"):
+        def counted(*args, _sketch=getattr(approx_module, name), **kw):
+            made.append(_sketch(*args, **kw))
+            return made[-1]
+
+        monkeypatch.setattr(approx_module, name, counted)
+    sc = spark.sparkContext
+    broadcasts, broadcast = [], sc.broadcast
+    monkeypatch.setattr(
+        sc, "broadcast", lambda value: broadcasts.append(broadcast(value)) or broadcasts[-1]
+    )
+    before = _cached_rdd_ids(spark)
+    idx, stats = build_approx_index(weighted_small, 8, measure)
+    idx.unpersist()
+    assert 0 < stats.n_edges_approx < weighted_small.num_edges()
+    assert [len(m) for m in made] == [stats.n_vertices_sketched]
+    assert _cached_rdd_ids(spark) - before == set()
+    assert len(broadcasts) == 1 and not broadcasts[0]._jbroadcast.isValid()
 
 
 def test_cosine_on_weighted_graph_sketches_unit_weights(weighted_small, exact_sims):

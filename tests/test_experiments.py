@@ -1,5 +1,7 @@
 """Experiment harness smoke tests: registry integrity, formatting, and
 one tiny end-to-end run per experiment on miniature datasets."""
+import json
+
 import pytest
 
 from repro.experiments import datasets
@@ -7,7 +9,8 @@ from repro.experiments.exp_approx_construction import run as run_fig8
 from repro.experiments.exp_approx_quality import run as run_fig9_10
 from repro.experiments.exp_index_construction import run as run_fig5
 from repro.experiments.exp_query import run_sweep
-from repro.experiments.harness import SHUFFLE_PARTITIONS, format_table, timed
+from repro.experiments import harness
+from repro.experiments.harness import SHUFFLE_PARTITIONS, format_table, record_run, timed
 from repro.graph import generators as gen
 
 
@@ -121,6 +124,31 @@ def test_fig8_smoke(spark, mini_registry):
     for r in rows:
         assert r["edges_approx"] + r["edges_exact"] == rows[0]["edges_approx"] + rows[0]["edges_exact"]
         assert r["approx_build_s"] > 0 and r["exact_build_s"] > 0
+
+
+def test_record_run_keeps_runs_of_the_same_code(spark, tmp_path, monkeypatch):
+    """Runs of one SHA and session accumulate under their key, with the
+    settings they ran on; a run of other code starts the list over, and
+    other keys stay as they were."""
+    path = tmp_path / "experiments.json"
+    path.write_text('{"fig5": [{"x": 1}]}')
+    monkeypatch.setattr(harness, "git_sha", lambda: "abc")
+    record_run(spark, "fig8", [{"k": 8}], path)
+    entry = record_run(spark, "fig8", [{"k": 16}], path)
+    assert entry["runs"] == [[{"k": 8}], [{"k": 16}]]
+    assert entry["shuffle_partitions"] == SHUFFLE_PARTITIONS
+    assert entry["cores"] == spark.sparkContext.defaultParallelism
+    monkeypatch.setattr(harness, "git_sha", lambda: "def")
+    record_run(spark, "fig8", [{"k": 32}], path)
+    data = json.loads(path.read_text())
+    assert data["fig8"]["git_sha"] == "def"
+    assert data["fig8"]["runs"] == [[{"k": 32}]]
+    assert data["fig5"] == [{"x": 1}]
+
+
+def test_git_sha_names_this_checkout():
+    sha = harness.git_sha()
+    assert sha == "unknown" or len(sha.removesuffix("-dirty")) >= 7
 
 
 def test_fig9_10_smoke(spark, mini_registry):

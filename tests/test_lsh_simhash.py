@@ -6,9 +6,10 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.core.similarity import edge_similarities
+from repro.graph.triangles import collect_csr
 from repro.lsh.hashing import gaussians, hash_tuple
-from repro.lsh.minhash import EMPTY, minhash_sketches
-from repro.lsh.simhash import simhash_edge_similarities, simhash_sketches
+from repro.lsh.minhash import EMPTY, minhash_matrix, minhash_sketches
+from repro.lsh.simhash import simhash_edge_similarities, simhash_matrix, simhash_sketches
 
 
 def _estimates(g, k, seed=0):
@@ -115,20 +116,33 @@ def test_scope_restricts_sketched_vertices(fig1, spark):
 
 
 def test_scope_skips_isolated_and_unknown_vertices(with_isolated, spark):
-    """Only scope vertices with a neighbor get a sketch, once each; a
-    batch left with none is an empty batch, not an error."""
+    """Only scope vertices with a neighbor get a sketch, once each."""
     scope = spark.createDataFrame(pd.DataFrame({"v": [1, 5, 2, 2, 99]}))
     sk = simhash_sketches(with_isolated, 16, 0, scope=scope).toPandas()
     assert sk["v"].tolist() == [2]
+    isolated = spark.createDataFrame(pd.DataFrame({"v": [1, 5]}))
+    assert simhash_sketches(with_isolated, 16, 0, scope=isolated).count() == 0
 
 
-@pytest.fixture
-def arrow_batches_of_7(spark):
-    key = "spark.sql.execution.arrow.maxRecordsPerBatch"
-    old = spark.conf.get(key)
-    spark.conf.set(key, "7")
-    yield
-    spark.conf.set(key, old)
+def _closed_sets(g, weighted: bool) -> dict:
+    """v -> (ids ascending as uint64, weights) of each closed
+    neighborhood of ``g``, from its edge list in pandas."""
+    pdf = g.to_pandas()
+    n = g.num_vertices
+    closed = pd.concat(
+        [
+            pdf,
+            pdf.rename(columns={"u": "v", "v": "u"}),
+            pd.DataFrame({"u": range(1, n + 1), "v": range(1, n + 1), "w": 1.0}),
+        ]
+    ).sort_values(["u", "v"])
+    return {
+        v: (
+            rows["v"].to_numpy(np.uint64),
+            rows["w"].to_numpy(np.float64) if weighted else np.ones(len(rows)),
+        )
+        for v, rows in closed.groupby("u")
+    }
 
 
 def _reference_sketch(scheme: str, xs: np.ndarray, w: np.ndarray, k: int, seed: int):
@@ -143,14 +157,46 @@ def _reference_sketch(scheme: str, xs: np.ndarray, w: np.ndarray, k: int, seed: 
     for h in hash_tuple(seed, xs, salt=0x7B):
         b, val = int(h % np.uint64(k)), int(h // np.uint64(k))
         out[b] = val if out[b] == EMPTY else min(out[b], val)
-    return out
+    # The uint64 minima, read as int64 like every sketch.
+    return [x if x == EMPTY else int(np.array(x, np.uint64).view(np.int64)) for x in out]
+
+
+def _assert_sketch_is(scheme: str, sketch, want) -> None:
+    if scheme == "simhash":
+        packed = np.asarray(sketch, np.int64).astype(">i8").tobytes()
+        assert packed[: len(want)] == want  # the same bits, first bit highest
+        assert not any(packed[len(want) :])  # and zeros past them
+    else:
+        assert list(sketch) == want
+
+
+@pytest.mark.parametrize("k", [1, 24, 64, 65])
+@pytest.mark.parametrize("graph", ["weighted_small", "with_isolated"])
+@pytest.mark.parametrize(
+    "scheme, weighted",
+    [("simhash", False), ("simhash", True), ("standard", False), ("oph", False)],
+)
+def test_table_sketches_equal_per_vertex_reference(request, graph, k, scheme, weighted):
+    """The one-table sketches of a build equal, bit for bit, each
+    vertex's sketch drawn alone, for every vertex 1..n (isolated ones
+    and n included)."""
+    g, seed = request.getfixturevalue(graph), 5
+    csr = collect_csr(g)
+    vs = np.arange(1, g.num_vertices + 1)
+    if scheme == "simhash":
+        got = simhash_matrix(csr, vs, k, seed, weighted)
+    else:
+        got = minhash_matrix(csr, vs, k, seed, variant=scheme)
+    assert got.shape == (len(vs), -(-k // 64) if scheme == "simhash" else k)
+    closed = _closed_sets(g, weighted)
+    for v, sketch in zip(vs, got):
+        _assert_sketch_is(scheme, sketch, _reference_sketch(scheme, *closed[v], k, seed))
 
 
 @pytest.mark.parametrize("scheme", ["simhash", "standard", "oph"])
-def test_sketches_whole_across_arrow_batches(spark, weighted_small, arrow_batches_of_7, scheme):
-    """With 7-row Arrow batches each task sketches its vertices over
-    many batches; each vertex still gets one sketch, of its whole
-    closed neighborhood read from the CSR."""
+def test_scoped_sketch_frames_equal_reference(spark, weighted_small, scheme):
+    """The public frames sketch each scope vertex once, from its whole
+    closed neighborhood (edge weights for SimHash)."""
     g, k, seed = weighted_small, 24, 3
     scope_ids = list(range(1, g.num_vertices + 1, 2))
     scope = spark.createDataFrame(pd.DataFrame({"v": scope_ids}))
@@ -159,23 +205,7 @@ def test_sketches_whole_across_arrow_batches(spark, weighted_small, arrow_batche
     else:
         sk = minhash_sketches(g, k, seed, variant=scheme, scope=scope)
     got = sk.toPandas()
-    assert sorted(got["v"]) == scope_ids
-    pdf = g.to_pandas()
-    closed = pd.concat(
-        [
-            pdf,
-            pdf.rename(columns={"u": "v", "v": "u"}),
-            pd.DataFrame({"u": scope_ids, "v": scope_ids, "w": 1.0}),
-        ]
-    ).sort_values(["u", "v"])
+    assert got["v"].tolist() == scope_ids
+    closed = _closed_sets(g, weighted=True)
     for v, sketch in zip(got["v"], got["sketch"]):
-        rows = closed[closed["u"] == v]
-        want = _reference_sketch(
-            scheme, rows["v"].to_numpy(np.uint64), rows["w"].to_numpy(np.float64), k, seed
-        )
-        if scheme == "simhash":
-            packed = np.asarray(sketch, np.int64).astype(">i8").tobytes()
-            assert packed[: len(want)] == want  # the same bits, first bit highest
-            assert not any(packed[len(want) :])  # and zeros past them
-        else:
-            assert list(sketch) == want
+        _assert_sketch_is(scheme, sketch, _reference_sketch(scheme, *closed[v], k, seed))

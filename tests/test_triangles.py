@@ -2,6 +2,9 @@
 import pytest
 from pyspark.sql import functions as F
 
+from repro.core.approx import build_approx_index
+from repro.core.index import build_index
+from repro.graph.graphframe import UndirectedGraph
 from repro.graph.triangles import triangle_edge_aggregates
 from repro.oracle import assert_equivalent
 from tests.conftest import ADVERSARIAL
@@ -52,3 +55,34 @@ def test_no_rows_for_triangle_free_edges(fig1):
     edges_with_tri = set(map(tuple, agg[["u", "v"]].to_numpy()))
     assert (4, 5) not in edges_with_tri  # bridge edge, no triangle
     assert (1, 2) in edges_with_tri
+
+
+def _over_frame(spark, rows, n=4):
+    """A graph straight over an unchecked Spark frame of (u, v, w)."""
+    return UndirectedGraph(spark.createDataFrame(rows, "u long, v long, w double"), n)
+
+
+@pytest.mark.parametrize("bad", [(0, 2), (2, 5)])
+def test_csr_rejects_ids_outside_universe(spark, bad):
+    g = _over_frame(spark, [(1, 2, 1.0), (*bad, 1.0)])
+    with pytest.raises(ValueError, match=r"1\.\.4"):
+        build_index(g, "cosine")
+
+
+def test_csr_rejects_unoriented_edge(spark):
+    g = _over_frame(spark, [(1, 2, 1.0), (3, 2, 1.0)])
+    with pytest.raises(ValueError, match="u < v"):
+        build_index(g, "cosine")
+
+
+def test_csr_rejects_duplicate_pair(spark):
+    g = _over_frame(spark, [(1, 2, 1.0), (2, 3, 1.0), (1, 2, 0.5)])
+    with pytest.raises(ValueError, match="twice"):
+        build_approx_index(g, 1, "cosine")
+
+
+@pytest.mark.parametrize("w", [float("nan"), float("inf"), 0.0, -1.0])
+def test_csr_rejects_non_finite_or_non_positive_weight(spark, w):
+    g = _over_frame(spark, [(1, 2, 1.0), (2, 3, w)])
+    with pytest.raises(ValueError, match="finite and > 0"):
+        build_index(g, "wcosine")
