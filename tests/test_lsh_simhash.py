@@ -3,7 +3,6 @@ convergence, and the Theorem-5.2 classification property."""
 import numpy as np
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 from repro.core.similarity import edge_similarities
 from repro.graph.triangles import collect_csr
