@@ -27,8 +27,8 @@ index saves as one Parquet dataset plus a small metadata file; loading
 it validates the rows and builds the same arrays. Construction
 (expensive) is paid once and queries (cheap) are paid per (mu, eps) —
 the paper's whole point. :func:`neighbor_order_from_similarities`
-keeps the ranking as a Spark window plan, the reference for tests and
-the traced benchmark run.
+is the same ranking as a frame, for callers that hold similarities as
+a frame.
 """
 from __future__ import annotations
 
@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession, Window
+from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.core.arrays import IndexArrays, rank_neighbor_order, validate_rows
@@ -169,47 +169,29 @@ class IndexReleasedError(RuntimeError):
 
 
 def neighbor_order_from_similarities(similarities: DataFrame) -> DataFrame:
-    """Rank each vertex's neighbors by descending similarity, as a
-    Spark window plan: the reference for the driver's
-    :func:`~repro.core.arrays.rank_neighbor_order`, which builds run.
-
-    ``similarities`` has one row per canonical edge (u, v, sim); the
-    output has one row per directed pair with ``rank`` starting at 2
-    (rank 1 is the implicit self-entry with sigma = 1). Ties break by
-    ascending neighbor id, matching the deterministic variant the paper
-    uses for its quality experiments (§7.3.4).
-
-    Each row is emitted in both directions by one generator, so the
-    similarity plan is read once; a union of the two directions would
-    plan and run it twice.
+    """NO rows (u, v, sim, rank) of one similarity per canonical edge,
+    ``similarities`` (u, v, sim): collected once and ranked on the
+    driver by :func:`~repro.core.arrays.rank_neighbor_order`, as builds
+    rank. Each edge appears in both directions; ``rank`` starts at 2
+    (rank 1 is the implicit self-entry with sigma = 1), ties by
+    ascending neighbor id (paper §7.3.4).
     """
-    sym = similarities.select(
-        F.inline(
-            F.array(
-                F.struct("u", "v", "sim"),
-                F.struct(F.col("v").alias("u"), F.col("u").alias("v"), "sim"),
-            )
-        )
+    pdf = similarities.select("u", "v", "sim").toPandas()
+    u, v, sim, rank, order = rank_neighbor_order(
+        pdf["u"].to_numpy(np.int64), pdf["v"].to_numpy(np.int64), pdf["sim"].to_numpy(np.float64)
     )
-    win = Window.partitionBy("u").orderBy(F.col("sim").desc(), F.col("v").asc())
-    return sym.withColumn("rank", F.row_number().over(win) + F.lit(1))
+    rows = pd.DataFrame(
+        {"u": u[order], "v": v[order], "sim": sim[order], "rank": rank[order].astype(np.int32)}
+    )
+    return similarities.sparkSession.createDataFrame(rows, NO_SCHEMA)
 
 
-def build_index(
-    g: UndirectedGraph,
-    measure: str = "cosine",
-    similarities: DataFrame | None = None,
-) -> SCANIndex:
+def build_index(g: UndirectedGraph, measure: str = "cosine") -> SCANIndex:
     """Construct the SCAN index: one collect of the similarities, then
     NO ranked and held on the driver.
 
     The exact similarities come from one stage over the edges with the
-    CSR broadcast (:func:`repro.core.similarity.exact_rows`). Passing
-    precomputed ``similarities`` (u, v, sim) swaps in other values
-    instead.
+    CSR broadcast (:func:`repro.core.similarity.exact_rows`).
     """
-    if similarities is not None:
-        edges = similarities.select("u", "v", "sim").toPandas()
-    else:
-        edges = exact_rows(collect_csr(g), g.edges, measure)
+    edges = exact_rows(collect_csr(g), g.edges, measure)
     return SCANIndex.from_similarities(g.spark, edges, g.num_vertices, measure)

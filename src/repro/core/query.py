@@ -14,10 +14,9 @@ variant the paper uses for its quality measurements (§7.3.4): most
 similar core, ties to the lower core id. Cluster ids are canonical:
 the minimum core id in the component.
 
-:func:`get_cores` and :func:`similar_edges_from_cores` are the same two
-steps as a Spark plan over the stored NO. They are no longer on the
-query path; they stay as the reference plan for tests and the traced
-benchmark run.
+:func:`get_cores` and :func:`similar_edges_from_cores` return the same
+two steps' output as frames, and :func:`assemble_clustering` assembles
+from frames.
 """
 from __future__ import annotations
 
@@ -27,7 +26,6 @@ from functools import cached_property
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.cc.union_find import min_labels
 from repro.core.index import SCANIndex
@@ -69,32 +67,30 @@ class ClusteringResult:
 
 
 def get_cores(index: SCANIndex, mu: int, eps: float) -> DataFrame:
-    """Core vertices under (mu, eps) as a Spark plan: the prefix of
-    CO[mu] (Algorithm 3). A reference plan, not the query path.
+    """Core vertices under (mu, eps) as a frame (v): the prefix of
+    CO[mu] (Algorithm 3), searched in the index's driver arrays.
 
     mu counts the vertex itself (eps-neighborhoods are closed), so
     mu=2 means "at least one eps-similar neighbor".
     """
     _check_mu(mu)
-    return index.core_order.where(
-        (F.col("mu") == mu) & (F.col("threshold") >= eps)
-    ).select("v")
+    cores = index.arrays.cores(mu, eps)
+    return index.spark.createDataFrame(pd.DataFrame({"v": cores}), "v long")
 
 
 def similar_edges_from_cores(
     index: SCANIndex, cores: DataFrame, eps: float
 ) -> DataFrame:
-    """Directed eps-similar edges out of cores as a Spark plan: (u=core,
-    v, sim). A reference plan, not the query path.
-
-    NO prefixes per core vertex (line 4 of Algorithm 5); excludes the
-    implicit self entry (NO ranks start at 2). The cores only select
-    rows (a left-semi join), so each NO row appears at most once.
+    """Directed eps-similar edges out of ``cores`` (v) as a frame
+    (u=core, v, sim): their NO prefixes (line 4 of Algorithm 5),
+    gathered from the index's driver arrays. Excludes the implicit self
+    entry; a core listed twice contributes its rows once.
     """
-    return (
-        index.neighbor_order.where(F.col("sim") >= eps)
-        .join(F.broadcast(cores.withColumnRenamed("v", "u")), "u", "left_semi")
-        .select("u", "v", "sim")
+    arrays = index.arrays
+    ids = np.unique(cores.select("v").toPandas()["v"].to_numpy(np.int64))
+    u, v, sim = arrays.eps_edges(ids, eps)
+    return index.spark.createDataFrame(
+        pd.DataFrame({"u": u, "v": v, "sim": sim}), "u long, v long, sim double"
     )
 
 

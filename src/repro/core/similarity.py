@@ -14,22 +14,22 @@ endpoints themselves are always shared since {u, v} ∈ E), hence:
 d, t and the weighted sum come from the CSR of
 :mod:`repro.graph.triangles`: every edge's similarity is computed in
 numpy by one task of the one ``mapInPandas`` stage of
-:func:`~repro.graph.triangles.map_with_csr`. The full build, the §6.3
-exact side of the approximate build and ppSCAN's undecided edges all
-apply the one formula of :func:`exact_kernel`. The public frames hold
-the collected rows.
+:func:`similarity_rows`, with the CSR broadcast. The full build, the
+§6.3 exact side of the approximate build and ppSCAN's undecided edges
+all apply the one formula of :func:`exact_kernel`. The public frames
+hold the collected rows.
 """
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 
 from repro.graph.graphframe import UndirectedGraph
-from repro.graph.triangles import CSR, collect_csr, common_neighbors, map_with_csr
+from repro.graph.triangles import CSR, collect_csr, common_neighbors
 
 #: Supported similarity measures.
 MEASURES = ("cosine", "jaccard", "wcosine")
@@ -68,23 +68,30 @@ def similarity_rows(
     csr: CSR, edges: DataFrame, kernel: Callable[..., EdgeKernel], *extra: object
 ) -> pd.DataFrame:
     """(u, v, w, sim) for every row of ``edges`` (u, v) that is an edge
-    of ``csr``, from one stage: each task makes ``kernel(csr, *extra)``
-    once, ``extra`` broadcast with the CSR, and applies it to every
-    batch of its partition."""
+    of ``csr``, from one ``mapInPandas`` stage, collected.
 
-    def task(csr: CSR, *extra: object):
+    One broadcast ships ``(csr, *extra)`` (``extra`` is the sketch
+    matrix of an approximate build); each task makes
+    ``kernel(csr, *extra)`` once and applies it to every Arrow batch of
+    its partition. The broadcast is destroyed once the rows are on the
+    driver, so nothing of the stage stays stored.
+    """
+    bc = edges.sparkSession.sparkContext.broadcast((csr, *extra))
+
+    def per_partition(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        csr, *extra = bc.value
         sims = kernel(csr, *extra)
-
-        def batch(pdf: pd.DataFrame) -> pd.DataFrame:
+        for pdf in batches:
             u, v = pdf["u"].to_numpy(np.int64), pdf["v"].to_numpy(np.int64)
             pos = csr.find(u, v)
             keep = pos >= 0
             u, v, w = u[keep], v[keep], csr.wt[pos[keep]]
-            return pd.DataFrame({"u": u, "v": v, "w": w, "sim": sims(u, v, w)})
+            yield pd.DataFrame({"u": u, "v": v, "w": w, "sim": sims(u, v, w)})
 
-        return batch
-
-    return map_with_csr(csr, edges.select("u", "v"), task, SIM_SCHEMA, *extra)
+    try:
+        return edges.select("u", "v").mapInPandas(per_partition, SIM_SCHEMA).toPandas()
+    finally:
+        bc.destroy()
 
 
 def exact_rows(csr: CSR, edges: DataFrame, measure: str) -> pd.DataFrame:

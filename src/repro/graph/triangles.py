@@ -3,14 +3,12 @@
 This is the substrate of every index build. The driver collects the
 canonical edges once (one Spark job) into a CSR: per-vertex offsets,
 each vertex's neighbor ids ascending and the weights beside them; it
-rejects edges that do not form a simple graph on 1..n. One
-``sc.broadcast`` ships the CSR (and an approximate build's sketch
-matrix) to the executors, one ``mapInPandas``
-stage over the edge partitions runs a numpy kernel on every Arrow
-batch, and one collect brings its rows back; the broadcast is
-destroyed then (:func:`map_with_csr`). So every build is two Spark
-jobs, whatever the measure, and the per-edge work is the paper's
-parallel loop over the edges in numpy.
+rejects edges that do not form a simple graph on 1..n. A build ships
+the CSR to one stage over the edges
+(:func:`repro.core.similarity.similarity_rows`), where
+:func:`common_neighbors` is the per-edge work of the paper's parallel
+loop, in numpy. :func:`triangle_edge_aggregates` runs the same kernel
+over all edges on the driver.
 
 Each edge (u, v) intersects its endpoints' sorted lists the way
 GS*-Index does, from the lower-degree side: each neighbor x of that
@@ -24,7 +22,6 @@ build's time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
 
 import numpy as np
 import pandas as pd
@@ -161,36 +158,6 @@ def common_neighbors(csr: CSR, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray
     return t, cw
 
 
-#: A task of :func:`map_with_csr`: called once per partition with the
-#: CSR and any extra broadcast values, it returns the function applied
-#: to each Arrow batch.
-Task = Callable[..., Callable[[pd.DataFrame], pd.DataFrame]]
-
-
-def map_with_csr(
-    csr: CSR, rows: DataFrame, task: Task, schema: str, *extra: object
-) -> pd.DataFrame:
-    """``task`` over every batch of ``rows``, in one ``mapInPandas``
-    stage with the CSR broadcast; the output rows, collected.
-
-    ``extra`` rides in the same broadcast (the sketch matrix of an
-    approximate build) and is passed to ``task`` after the CSR. The
-    broadcast is destroyed once the rows are on the driver, so nothing
-    of the stage stays stored.
-    """
-    bc = rows.sparkSession.sparkContext.broadcast((csr, *extra))
-
-    def per_partition(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        fn = task(*bc.value)
-        for pdf in batches:
-            yield fn(pdf)
-
-    try:
-        return rows.mapInPandas(per_partition, schema).toPandas()
-    finally:
-        bc.destroy()
-
-
 def triangle_edge_aggregates(g: UndirectedGraph) -> DataFrame:
     """Per-edge triangle aggregates: (u, v, tri, cw) with u < v.
 
@@ -199,19 +166,12 @@ def triangle_edge_aggregates(g: UndirectedGraph) -> DataFrame:
     weighted-cosine numerator term (paper §4.1.1).
 
     Only edges that appear in at least one triangle are returned. The
-    rows are computed by :func:`common_neighbors` in one stage and
-    held by the driver.
+    rows are computed on the driver by :func:`common_neighbors` over
+    the collected CSR.
     """
-    schema = "u long, v long, tri long, cw double"
-
-    def task(csr: CSR):
-        def batch(pdf: pd.DataFrame) -> pd.DataFrame:
-            u, v = pdf["u"].to_numpy(np.int64), pdf["v"].to_numpy(np.int64)
-            t, cw = common_neighbors(csr, u, v)
-            keep = t > 0
-            return pd.DataFrame({"u": u[keep], "v": v[keep], "tri": t[keep], "cw": cw[keep]})
-
-        return batch
-
-    rows = map_with_csr(collect_csr(g), g.edges.select("u", "v"), task, schema)
-    return g.spark.createDataFrame(rows, schema)
+    csr = collect_csr(g)
+    u, v = csr.edges()
+    t, cw = common_neighbors(csr, u, v)
+    keep = t > 0
+    rows = pd.DataFrame({"u": u[keep], "v": v[keep], "tri": t[keep], "cw": cw[keep]})
+    return g.spark.createDataFrame(rows, "u long, v long, tri long, cw double")

@@ -69,6 +69,31 @@ JOIN norms nu ON nu.v = tri.u JOIN norms nv ON nv.v = tri.v
     raise ValueError(measure)
 
 
+# neighbor order: each vertex's neighbors ranked by descending
+# similarity, ties by ascending id, from rank 2 (rank 1 is the implicit
+# self entry). table: e (u, v, sim), one row per canonical edge.
+NEIGHBOR_ORDER = """
+WITH sym AS (SELECT u, v, sim FROM e UNION ALL SELECT v, u, sim FROM e)
+SELECT u, v, sim,
+       ROW_NUMBER() OVER (PARTITION BY u ORDER BY sim DESC, v) + 1 AS rank
+FROM sym
+"""
+
+# the cores under (mu, eps) (Algorithm 3): vertices whose rank-mu NO
+# entry has sim >= eps. tables: no (u, v, sim, rank), q (mu, eps), one
+# row; q holds eps as a DOUBLE so the comparison is exact.
+CORES = """
+SELECT no.u AS v FROM no JOIN q ON no.rank = q.mu AND no.sim >= q.eps
+"""
+
+# the eps-similar edges out of those cores (line 4 of Algorithm 5).
+# tables: no, q as for CORES.
+EPS_EDGES = f"""
+WITH cores AS ({CORES})
+SELECT no.u AS u, no.v AS v, no.sim AS sim
+FROM no JOIN cores ON no.u = cores.v JOIN q ON no.sim >= q.eps
+"""
+
 # connected components: min reachable vertex id per vertex.
 # tables: edges (u, v) and verts (v); tiny inputs only (transitive
 # closure enumeration).

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from repro.core.approx import ApproxStats
 from repro.experiments import datasets
+from repro.experiments import exp_approx_construction as fig8
 from repro.experiments.exp_approx_construction import run as run_fig8
 from repro.experiments.exp_approx_quality import run as run_fig9_10
 from repro.experiments.exp_index_construction import run as run_fig5
@@ -124,6 +126,40 @@ def test_fig8_smoke(spark, mini_registry):
     for r in rows:
         assert r["edges_approx"] + r["edges_exact"] == rows[0]["edges_approx"] + rows[0]["edges_exact"]
         assert r["approx_build_s"] > 0 and r["exact_build_s"] > 0
+
+
+def test_fig8_times_the_exact_build_before_each_k(spark, mini_registry, monkeypatch):
+    """Each k's REPS approximate builds follow REPS exact builds of
+    their own, so both sides of a row are timed in the same JVM; one
+    untimed exact build per graph comes first."""
+    calls = []
+
+    class Built:
+        def persist(self):
+            return self
+
+        def unpersist(self):
+            pass
+
+    def exact(g, measure):
+        calls.append(("exact", measure))
+        return Built()
+
+    def approx(g, k, measure, seed):
+        calls.append(("approx", measure, k))
+        return Built(), ApproxStats(1, 2, 3, float(k))
+
+    monkeypatch.setattr(fig8, "build_index", exact)
+    monkeypatch.setattr(fig8, "build_approx_index", approx)
+    rows = run_fig8(spark, ["tiny_u"], ks=(4, 8))
+    expect = [("exact", "cosine")]
+    for measure in ("cosine", "jaccard"):
+        for k in (4, 8):
+            expect += [("exact", "cosine")] * fig8.REPS + [("approx", measure, k)] * fig8.REPS
+    assert calls == expect
+    assert [(r["scheme"], r["k"]) for r in rows] == [
+        ("simhash", 4), ("simhash", 8), ("minhash", 4), ("minhash", 8)
+    ]
 
 
 def test_record_run_keeps_runs_of_the_same_code(spark, tmp_path, monkeypatch):

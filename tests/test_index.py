@@ -6,7 +6,10 @@ import pytest
 from repro.baselines.gs_index_seq import SequentialGSIndex
 from repro.core.approx import approx_edge_similarities, build_approx_index
 from repro.core.index import IndexReleasedError, SCANIndex, build_index
-from repro.core.query import query_clusters
+from repro.core.query import get_cores, query_clusters, similar_edges_from_cores
+from repro.oracle import assert_equivalent
+from tests.conftest import ADVERSARIAL
+from tests.oracle_sql import NEIGHBOR_ORDER
 
 
 def test_neighbor_order_ranks_start_at_two(fig1_index):
@@ -204,6 +207,10 @@ def test_unpersist_frees_everything_the_build_cached(spark, sbm_small, kind):
     assert _cached_rdd_ids(spark) - before == set()
     with pytest.raises(IndexReleasedError, match="released by unpersist"):
         query_clusters(idx, 3, 0.5)
+    with pytest.raises(IndexReleasedError, match="released by unpersist"):
+        get_cores(idx, 3, 0.5)
+    with pytest.raises(IndexReleasedError, match="released by unpersist"):
+        similar_edges_from_cores(idx, spark.createDataFrame([(1,)], "v long"), 0.5)
 
 
 @pytest.mark.parametrize("kind", ["exact", "approx"])
@@ -237,8 +244,17 @@ def test_build_with_given_similarities(fig1, spark):
     sims = pd.DataFrame(
         {"u": [1, 1], "v": [2, 3], "sim": [0.9, 0.1]}
     )
-    idx = build_index(fig1, "cosine", similarities=spark.createDataFrame(sims))
+    idx = SCANIndex.from_similarities(spark, sims, fig1.num_vertices, "cosine")
     no = idx.neighbor_order.toPandas()
     assert len(no) == 4  # 2 edges, both directions
     r1 = no[no["u"] == 1].sort_values("rank")
     assert r1["v"].tolist() == [2, 3]  # ordered by given sims, not graph
+
+
+@pytest.mark.parametrize("fixture", ["fig1", "sbm_small", *ADVERSARIAL])
+def test_neighbor_order_matches_duckdb_ranking(fixture, request):
+    """NO's ranks equal DuckDB's ROW_NUMBER over both directions of the
+    index's own similarities. The star's hub and the cliques of
+    two_cliques list tied similarities, which order by ascending id."""
+    no = build_index(request.getfixturevalue(fixture), "cosine").neighbor_order
+    assert_equivalent(no, NEIGHBOR_ORDER, e=no.where("u < v").select("u", "v", "sim"))

@@ -1,21 +1,18 @@
 """Cluster queries: the paper's worked example, engine differential
 tests, the DuckDB recursive-CTE component oracle, and edge cases."""
+import duckdb
 import numpy as np
+import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
 from repro.baselines.gs_index_seq import SequentialGSIndex
 from repro.core.index import SCANIndex, build_index
-from repro.core.query import (
-    assemble_clustering,
-    get_cores,
-    query_clusters,
-    similar_edges_from_cores,
-)
+from repro.core.query import get_cores, query_clusters, similar_edges_from_cores
 from repro.graph.graphframe import UndirectedGraph
 from repro.oracle import assert_equivalent
 from tests.conftest import ADVERSARIAL
-from tests.oracle_sql import COMPONENTS
+from tests.oracle_sql import COMPONENTS, CORES, EPS_EDGES
 
 EPS_GRID = (0.1, 0.3, 0.5, 0.6, 0.7, 0.9)
 MU_GRID = (2, 3, 5, 8)
@@ -107,8 +104,8 @@ def test_differential_weighted(weighted_small, weighted_index, mu, eps):
 def test_adversarial_shapes_build_and_query(fixture, request, spark, tmp_path):
     """Stars, bridged cliques, isolated vertices and the empty graph:
     the persisted index has 2m NO rows, and every query equals the
-    sequential GS*-Index and the Spark reference plan, at the eps
-    extremes too, before and after a Parquet round trip."""
+    sequential GS*-Index, at the eps extremes too, before and after a
+    Parquet round trip."""
     g = request.getfixturevalue(fixture)
     idx = build_index(g, "cosine").persist()
     try:
@@ -199,21 +196,42 @@ def test_query_runs_no_spark_job(spark, sbm_small_index, tmp_path):
         assert len(sc.statusTracker().getJobIdsForGroup(group)) == 0, name
 
 
-# -- edge values: the driver engine against seq and the Spark plan -----
-
-
-def _spark_reference(idx, mu, eps) -> dict:
-    """Labels from the Spark reference plan plus the shared assembly."""
-    cores = get_cores(idx, mu, eps)
-    sim = similar_edges_from_cores(idx, cores, eps)
-    return assemble_clustering(cores, sim, mu, eps).labels_pandas()
+# -- edge values: the driver engine against seq and DuckDB -------------
 
 
 def _assert_engines_agree(idx, seq, mu, eps) -> dict:
     got = query_clusters(idx, mu, eps).labels_pandas()
     assert got == seq.query(mu, eps), (mu, eps)
-    assert got == _spark_reference(idx, mu, eps), (mu, eps)
     return got
+
+
+@pytest.mark.parametrize("fixture", ["fig1", "sbm_small", *ADVERSARIAL])
+def test_core_search_and_eps_prefix_match_duckdb(fixture, request):
+    """The binary searches of a query equal DuckDB's selection over the
+    stored NO: the cores (rank = mu and sim >= eps) and their eps-edges,
+    at eps equal to stored similarities and one ulp below and above,
+    where a prefix ends exactly on a tie with eps."""
+    idx = build_index(request.getfixturevalue(fixture), "cosine")
+    a = idx.arrays
+    sims = np.unique(a.no_sim)
+    picked = np.unique(np.r_[sims[:: max(1, len(sims) // 6)], sims[-1:]])
+    con = duckdb.connect()
+    try:
+        con.register("no", a.rows())
+        for s in picked:
+            for eps in (np.nextafter(s, -1.0), s, np.nextafter(s, 2.0)):
+                for mu in (2, 3, 5):
+                    con.register("q", pd.DataFrame({"mu": [mu], "eps": [float(eps)]}))
+                    cores = a.cores(mu, eps)
+                    expect = con.execute(CORES).fetchdf()
+                    assert sorted(cores.tolist()) == sorted(expect["v"].tolist()), (mu, eps)
+                    u, v, _ = a.eps_edges(cores, eps)
+                    expect = con.execute(EPS_EDGES).fetchdf()
+                    assert sorted(zip(u.tolist(), v.tolist())) == sorted(
+                        zip(expect["u"].tolist(), expect["v"].tolist())
+                    ), (mu, eps)
+    finally:
+        con.close()
 
 
 def test_similarity_equal_to_eps_is_included(fig1, fig1_index):
