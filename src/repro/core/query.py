@@ -86,9 +86,8 @@ def similar_edges_from_cores(
     gathered from the index's driver arrays. Excludes the implicit self
     entry; a core listed twice contributes its rows once.
     """
-    arrays = index.arrays
     ids = np.unique(cores.select("v").toPandas()["v"].to_numpy(np.int64))
-    u, v, sim = arrays.eps_edges(ids, eps)
+    u, v, sim = index.arrays.eps_edges(ids, eps)
     return index.spark.createDataFrame(
         pd.DataFrame({"u": u, "v": v, "sim": sim}), "u long, v long, sim double"
     )
