@@ -3,8 +3,8 @@
 The paper queries a shared-memory index: cores are a prefix of the
 sorted CO[mu], eps-similar edges are prefixes of the sorted NO[v], and
 the work is bounded by the output (Theorem 4.3). Here the same arrays
-are held by the driver, collected once from the stored NO at the end of
-construction or on load, so a query runs no Spark job:
+are held by the driver, made once from one similarity per edge at the
+end of construction or on load, so a query runs no Spark job:
 
 - NO: every row sorted by (u, rank); u's neighbors, most similar first,
   are ``no_v[no_off[u]:no_off[u + 1]]`` with similarities ``no_sim``.
@@ -47,25 +47,45 @@ class IndexArrays:
     co_neg: np.ndarray  # (2m,) float64: -threshold, ascending within CO[mu]
 
     @staticmethod
-    def from_rows(rows: pd.DataFrame, num_vertices: int) -> "IndexArrays":
-        """Arrays from NO rows (u, v, sim, rank), in any row order."""
-        u = rows["u"].to_numpy(np.int64)
-        v = rows["v"].to_numpy(np.int64)
-        sim = rows["sim"].to_numpy(np.float64)
-        rank = rows["rank"].to_numpy(np.int64)
-        no = np.lexsort((rank, u))
-        return IndexArrays.from_sorted(u[no], v[no], sim[no], rank[no], num_vertices)
-
-    @staticmethod
-    def from_sorted(
-        u: np.ndarray, v: np.ndarray, sim: np.ndarray, rank: np.ndarray, num_vertices: int
+    def from_similarities(
+        u: np.ndarray, v: np.ndarray, sim: np.ndarray, num_vertices: int
     ) -> "IndexArrays":
-        """Arrays from NO rows already sorted by (u, rank)."""
+        """The index of one similarity per edge, given as canonical rows
+        (u[i], v[i], sim[i]) with u < v, in any row order.
+
+        Raises ValueError unless every id is in 1..num_vertices, u < v
+        on every row, no pair is listed twice and every similarity is
+        finite. Each edge is then listed in both directions and each
+        vertex's rows are ranked by descending similarity, ties by
+        ascending neighbor id (paper §7.3.4), from rank 2: rank 1 is the
+        implicit self entry.
+        """
+        u = np.asarray(u, np.int64)
+        v = np.asarray(v, np.int64)
+        sim = np.asarray(sim, np.float64)
+
+        def fail(what: str) -> None:
+            raise ValueError(f"invalid edge similarities: {what}")
+
+        if (u >= v).any():
+            fail("a row has u >= v")
+        if len(u) and (u.min() < 1 or v.max() > num_vertices):
+            fail(f"vertex ids outside 1..{num_vertices}")
+        if len(np.unique(u * (num_vertices + 1) + v)) < len(u):
+            fail("a (u, v) pair is listed twice")
+        if not np.isfinite(sim).all():
+            fail("a similarity is not finite")
+        u, v = np.concatenate((u, v)), np.concatenate((v, u))
+        sim = np.concatenate((sim, sim))
+        no = np.lexsort((v, -sim, u))
+        u, v, sim = u[no], v[no], sim[no]
+        no_off = _offsets(u, num_vertices + 1)
+        rank = np.arange(len(u)) - np.repeat(no_off[:-1], np.diff(no_off)) + 2
         co = np.lexsort((u, -sim, rank))
         sims, j = np.unique(sim, return_inverse=True)
         k = len(sims)
         return IndexArrays(
-            no_off=_offsets(u, num_vertices + 1),
+            no_off=no_off,
             no_v=v,
             no_sim=sim,
             no_key=u * k + (k - 1 - j),
@@ -107,64 +127,8 @@ class IndexArrays:
         return np.repeat(cores, cnt), self.no_v[idx], self.no_sim[idx]
 
 
-def rank_neighbor_order(u: np.ndarray, v: np.ndarray, sim: np.ndarray):
-    """NO rows (u, v, sim, rank) from one similarity per edge, and the
-    permutation that sorts them by (u, rank).
-
-    The rows are the edges as given followed by their mirrors (v, u).
-    Each vertex's rows are ranked by descending similarity, ties by
-    ascending neighbor id (paper §7.3.4), from rank 2: rank 1 is the
-    implicit self entry.
-    """
-    u, v = np.concatenate((u, v)), np.concatenate((v, u))
-    sim = np.concatenate((sim, sim))
-    order = np.lexsort((v, -sim, u))
-    su = u[order]
-    start = np.flatnonzero(np.r_[True, su[1:] != su[:-1]])
-    rank = np.empty(len(u), np.int64)
-    rank[order] = np.arange(len(u)) - np.repeat(start, np.diff(np.r_[start, len(u)])) + 2
-    return u, v, sim, rank, order
-
-
 def _offsets(keys: np.ndarray, min_keys: int) -> np.ndarray:
     """Bounds of each key's run in ``keys`` sorted: key k spans
     ``off[k]:off[k + 1]``."""
     return np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=min_keys))))
 
-
-def validate_rows(rows: pd.DataFrame, num_vertices: int) -> None:
-    """Raise ValueError unless ``rows`` is a well-formed NO over vertices
-    1..num_vertices: ids in range and no self rows, each u's ranks
-    exactly 2..deg(u)+1 with similarity not increasing along them, and
-    every (u, v) row matched by a (v, u) row with the same similarity."""
-    u = rows["u"].to_numpy(np.int64)
-    v = rows["v"].to_numpy(np.int64)
-    sim = rows["sim"].to_numpy(np.float64)
-    rank = rows["rank"].to_numpy(np.int64)
-
-    def fail(what: str) -> None:
-        raise ValueError(f"invalid neighbor order: {what}")
-
-    if len(u) and (min(u.min(), v.min()) < 1 or max(u.max(), v.max()) > num_vertices):
-        fail(f"vertex ids outside 1..{num_vertices}")
-    if (u == v).any():
-        fail("a vertex lists itself")
-    order = np.lexsort((rank, u))
-    u, v, sim, rank = u[order], v[order], sim[order], rank[order]
-    off = _offsets(u, num_vertices + 1)
-    expect = np.arange(len(u)) - np.repeat(off[:-1], np.diff(off)) + 2
-    if not np.array_equal(rank, expect):
-        fail("a vertex's ranks do not run over exactly 2..deg+1")
-    same = u[1:] == u[:-1]
-    if not (sim[1:][same] <= sim[:-1][same]).all():
-        fail("similarity increases along a vertex's ranks")
-    fwd, rev = np.lexsort((v, u)), np.lexsort((u, v))
-    uf, vf = u[fwd], v[fwd]
-    if ((uf[1:] == uf[:-1]) & (vf[1:] == vf[:-1])).any():
-        fail("a (u, v) pair is listed twice")
-    if not (
-        np.array_equal(uf, v[rev])
-        and np.array_equal(vf, u[rev])
-        and np.array_equal(sim[fwd], sim[rev])
-    ):
-        fail("a (u, v) row has no (v, u) row with the same similarity")

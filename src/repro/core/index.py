@@ -14,26 +14,28 @@ Core order ``CO[mu]`` lists every vertex with closed degree ≥ mu along
 with its *core threshold* — its similarity with NO[v][mu] — sorted
 descending. Because NO[v][mu] exists exactly when closed degree ≥ mu,
 CO is precisely a re-keying of NO: row (v, x, sim, rank=mu) of NO is
-row (mu, v, threshold=sim) of CO. So only NO is stored (O(m) rows);
-CO is a column projection of it, derived on read.
+row (mu, v, threshold=sim) of CO. So CO is a column projection of NO,
+and both derive on read from the m similarities an index stores.
 
 Construction ends with NO on the driver: one collect brings one
 similarity per edge (the one-stage builds of :mod:`repro.core.similarity`
-and :mod:`repro.core.approx`), and the ranked rows become sorted
-arrays (:mod:`repro.core.arrays`), which answer every query without a
-Spark job. ``neighbor_order`` is a DataFrame made from those arrays on
-first use: saving the index and CO read it, queries never do. The
-index saves as one Parquet dataset plus a small metadata file; loading
-it validates the rows and builds the same arrays. Construction
-(expensive) is paid once and queries (cheap) are paid per (mu, eps) —
-the paper's whole point. :func:`neighbor_order_from_similarities`
-is the same ranking as a frame, for callers that hold similarities as
-a frame.
+and :mod:`repro.core.approx`), and ``IndexArrays.from_similarities``
+checks and ranks them into sorted arrays (:mod:`repro.core.arrays`),
+which answer every query without a Spark job. A built, given or loaded
+index is made by that one function. ``neighbor_order`` is a DataFrame
+made from the arrays on first use; queries never read it. The index
+saves as its m similarity rows (u < v) and a small metadata file,
+written aside and moved into place. Construction (expensive) is paid
+once and queries (cheap) are paid per (mu, eps) — the paper's whole
+point. :func:`neighbor_order_from_similarities` is the same ranking as
+a frame, for callers that hold similarities as a frame.
 """
 from __future__ import annotations
 
 import json
 import os
+import shutil
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,13 +43,18 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.core.arrays import IndexArrays, rank_neighbor_order, validate_rows
+from repro.core.arrays import IndexArrays
 from repro.core.similarity import exact_rows
 from repro.graph.graphframe import UndirectedGraph
 from repro.graph.triangles import collect_csr
 
 #: Schema of the NO rows.
 NO_SCHEMA = "u long, v long, sim double, rank int"
+#: Schema of the stored similarity rows, one per edge with u < v.
+EDGE_SCHEMA = "u long, v long, sim double"
+#: Version of the saved layout: meta.json plus the similarity rows.
+#: The earlier layout, 2m NO rows with no version, is refused on load.
+FORMAT = 2
 
 
 @dataclass
@@ -58,7 +65,7 @@ class SCANIndex:
     num_vertices: int
     measure: str
     # NO as (u, v, sim, rank) rows — rank >= 2, self implicit. A built
-    # index makes it from its arrays on first use (neighbor_order).
+    # or loaded index makes it from its arrays on first use.
     _neighbor_order: DataFrame | None = field(default=None, init=False, repr=False, compare=False)
     # The driver's sorted copy of NO and CO that queries read; made by
     # the build and by load(), dropped by unpersist().
@@ -69,16 +76,12 @@ class SCANIndex:
     def from_similarities(
         spark: SparkSession, edges: pd.DataFrame, num_vertices: int, measure: str
     ) -> "SCANIndex":
-        """The index of one similarity per edge, ``edges`` (u, v, sim),
-        ranked on the driver."""
-        u, v, sim, rank, order = rank_neighbor_order(
-            edges["u"].to_numpy(np.int64),
-            edges["v"].to_numpy(np.int64),
-            edges["sim"].to_numpy(np.float64),
-        )
+        """The index of one similarity per edge, ``edges`` (u, v, sim)
+        with u < v, ranked on the driver; raises ValueError for rows that
+        :meth:`IndexArrays.from_similarities` rejects."""
         index = SCANIndex(spark, num_vertices, measure)
-        index._arrays = IndexArrays.from_sorted(
-            u[order], v[order], sim[order], rank[order], num_vertices
+        index._arrays = IndexArrays.from_similarities(
+            edges["u"], edges["v"], edges["sim"], num_vertices
         )
         return index
 
@@ -86,12 +89,11 @@ class SCANIndex:
     def neighbor_order(self) -> DataFrame:
         """NO: (u, v, sim, rank) — rank >= 2, self implicit.
 
-        A built index makes this frame from its arrays on first use.
+        A built or loaded index makes this frame from its arrays on first
+        use.
         """
         if self._neighbor_order is None:
-            rows = self.arrays.rows()
-            rows["rank"] = rows["rank"].astype(np.int32)
-            self._neighbor_order = self.spark.createDataFrame(rows, NO_SCHEMA)
+            self._neighbor_order = _no_frame(self.spark, self.arrays)
         return self._neighbor_order
 
     @property
@@ -133,35 +135,66 @@ class SCANIndex:
     # -- filesystem persistence (the "index" artifact) ----------------
 
     def save(self, path: str) -> None:
-        self.neighbor_order.write.mode("overwrite").parquet(
-            os.path.join(path, "neighbor_order")
-        )
-        with open(os.path.join(path, "meta.json"), "w") as f:
-            json.dump(
-                {"num_vertices": self.num_vertices, "measure": self.measure}, f
+        """Write the index to the directory ``path``: ``meta.json`` and
+        the m similarity rows (u, v, sim) with u < v.
+
+        The artifact is written into a temporary sibling directory and
+        then moved to ``path``, so a save that fails partway leaves what
+        was there before. Raises FileExistsError, and writes nothing,
+        when ``path`` is a file or a non-empty directory that is not a
+        saved index.
+        """
+        path = os.path.abspath(path)
+        if os.path.exists(path) and not os.path.exists(os.path.join(path, "meta.json")):
+            if not os.path.isdir(path) or os.listdir(path):
+                raise FileExistsError(f"{path} is not a saved index; not replacing it")
+        rows = self.arrays.rows()
+        rows = rows.loc[rows["u"] < rows["v"], ["u", "v", "sim"]]
+        meta = {
+            "format": FORMAT,
+            "num_vertices": self.num_vertices,
+            "num_edges": len(rows),
+            "measure": self.measure,
+        }
+        parent = os.path.dirname(path)
+        os.makedirs(parent, exist_ok=True)
+        tmp = tempfile.mkdtemp(prefix=f".{os.path.basename(path)}.", dir=parent)
+        try:
+            self.spark.createDataFrame(rows, EDGE_SCHEMA).write.parquet(
+                os.path.join(tmp, "similarities")
             )
+            with open(os.path.join(tmp, "meta.json"), "w") as f:
+                json.dump(meta, f)
+        except BaseException:
+            shutil.rmtree(tmp, ignore_errors=True)
+            raise
+        old = tmp + ".old"
+        if os.path.lexists(path):
+            os.rename(path, old)
+        os.rename(tmp, path)
+        shutil.rmtree(old, ignore_errors=True)
 
     @staticmethod
     def load(spark: SparkSession, path: str) -> "SCANIndex":
         """Read a saved index and build its driver arrays.
 
-        Raises ValueError when the stored NO is not a well-formed
-        neighbor order over the saved vertex count (ids out of range,
-        ranks not 2..deg+1, similarity rising along the ranks, or a row
-        without its mirror), so a corrupt or mismatched artifact never
-        answers a query.
+        Raises ValueError for another format, a row count other than the
+        saved ``num_edges``, or rows that :meth:`IndexArrays.from_similarities`
+        rejects, so a corrupt or mismatched artifact never answers a query.
         """
         with open(os.path.join(path, "meta.json")) as f:
             meta = json.load(f)
-        index = SCANIndex(spark, meta["num_vertices"], meta["measure"])
-        index._neighbor_order = spark.read.parquet(os.path.join(path, "neighbor_order"))
-        rows = index.neighbor_order.toPandas()
+        if meta.get("format") != FORMAT:
+            raise ValueError(f"index at {path}: format {meta.get('format')!r}, not {FORMAT}")
+        edges = spark.read.parquet(os.path.join(path, "similarities")).toPandas()
         try:
-            validate_rows(rows, index.num_vertices)
+            if len(edges) != meta["num_edges"]:
+                raise ValueError(f"{len(edges)} rows, but num_edges is {meta['num_edges']}")
+            return SCANIndex.from_similarities(
+                spark, edges, meta["num_vertices"], meta["measure"]
+            )
         except ValueError as e:
             raise ValueError(f"index at {path}: {e}") from e
-        index._arrays = IndexArrays.from_rows(rows, index.num_vertices)
-        return index
 
 
 class IndexReleasedError(RuntimeError):
@@ -171,19 +204,20 @@ class IndexReleasedError(RuntimeError):
 def neighbor_order_from_similarities(similarities: DataFrame) -> DataFrame:
     """NO rows (u, v, sim, rank) of one similarity per canonical edge,
     ``similarities`` (u, v, sim): collected once and ranked on the
-    driver by :func:`~repro.core.arrays.rank_neighbor_order`, as builds
-    rank. Each edge appears in both directions; ``rank`` starts at 2
-    (rank 1 is the implicit self-entry with sigma = 1), ties by
-    ascending neighbor id (paper §7.3.4).
+    driver as builds rank (:meth:`IndexArrays.from_similarities`), over
+    vertices 1..(largest id).
     """
-    pdf = similarities.select("u", "v", "sim").toPandas()
-    u, v, sim, rank, order = rank_neighbor_order(
-        pdf["u"].to_numpy(np.int64), pdf["v"].to_numpy(np.int64), pdf["sim"].to_numpy(np.float64)
-    )
-    rows = pd.DataFrame(
-        {"u": u[order], "v": v[order], "sim": sim[order], "rank": rank[order].astype(np.int32)}
-    )
-    return similarities.sparkSession.createDataFrame(rows, NO_SCHEMA)
+    e = similarities.select("u", "v", "sim").toPandas()
+    n = int(e["v"].to_numpy().max(initial=0))
+    arrays = IndexArrays.from_similarities(e["u"], e["v"], e["sim"], n)
+    return _no_frame(similarities.sparkSession, arrays)
+
+
+def _no_frame(spark: SparkSession, arrays: IndexArrays) -> DataFrame:
+    """NO of ``arrays`` as a frame of the driver's rows, sorted by (u, rank)."""
+    rows = arrays.rows()
+    rows["rank"] = rows["rank"].astype(np.int32)
+    return spark.createDataFrame(rows, NO_SCHEMA)
 
 
 def build_index(g: UndirectedGraph, measure: str = "cosine") -> SCANIndex:

@@ -1,10 +1,14 @@
 """Experiment harness smoke tests: registry integrity, formatting, and
 one tiny end-to-end run per experiment on miniature datasets."""
 import json
+import runpy
+import sys
 
 import pytest
 
 from repro.core.approx import ApproxStats
+from repro.core.index import build_index
+from repro.core.query import query_clusters
 from repro.experiments import datasets
 from repro.experiments import exp_approx_construction as fig8
 from repro.experiments.exp_approx_construction import run as run_fig8
@@ -194,3 +198,22 @@ def test_fig9_10_smoke(spark, mini_registry):
     assert exact_row["ari_vs_exact"] == 1.0
     assert -1 <= k_row["best_modularity"] <= 1
     assert -1 <= k_row["ari_vs_exact"] <= 1
+
+
+def test_build_and_query_entrypoints(spark, mini_registry, tmp_path, monkeypatch, capsys):
+    """jobs/build_index.py saves an index that jobs/query_clusters.py
+    loads and queries, each run from its command line: the cluster
+    sizes printed are those of the same query on a built index."""
+    out = str(tmp_path / "idx")
+    for argv in (["build_index.py", "tiny_w", out], ["query_clusters.py", out, "3", "0.5"]):
+        monkeypatch.setattr(sys, "argv", argv)
+        runpy.run_path(str(harness.ROOT / "jobs" / argv[0]), run_name="__main__")
+    printed = capsys.readouterr().out
+    assert f"saved wcosine index for tiny_w -> {out}" in printed
+    _, table = printed.split("clusters for mu=3, eps=0.5:\n")
+    g = datasets.load(spark, "tiny_w")
+    expect = query_clusters(build_index(g, "wcosine"), 3, 0.5).assignments_pdf
+    g.unpersist()
+    sizes = sorted(expect.groupby("cluster").size(), reverse=True)
+    assert sizes
+    assert [int(line.split()[1]) for line in table.splitlines()[1:]] == sizes[:50]

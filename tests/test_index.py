@@ -1,11 +1,14 @@
 """Neighbor-order / core-order construction and persistence."""
 import dataclasses
+import json
 
+import pandas as pd
 import pytest
+from pyspark.sql import DataFrameWriter
 
 from repro.baselines.gs_index_seq import SequentialGSIndex
 from repro.core.approx import approx_edge_similarities, build_approx_index
-from repro.core.index import IndexReleasedError, SCANIndex, build_index
+from repro.core.index import EDGE_SCHEMA, IndexReleasedError, SCANIndex, build_index
 from repro.core.query import get_cores, query_clusters, similar_edges_from_cores
 from repro.oracle import assert_equivalent
 from tests.conftest import ADVERSARIAL
@@ -88,17 +91,27 @@ def test_save_load_roundtrip(fig1_index, tmp_path, spark):
     assert a.equals(b)
 
 
-def test_neighbor_order_is_the_only_stored_frame():
+def test_neighbor_order_is_the_only_stored_frame(fig1_index, tmp_path, spark):
+    """NO is the one frame an index caches. A loaded index, like a built
+    one, makes it from its arrays when it is first asked for."""
     frames = [f.name for f in dataclasses.fields(SCANIndex) if "DataFrame" in f.type]
     assert frames == ["_neighbor_order"]
+    fig1_index.save(str(tmp_path / "idx"))
+    loaded = SCANIndex.load(spark, str(tmp_path / "idx"))
+    assert loaded._neighbor_order is None
+    assert loaded.neighbor_order.toPandas().equals(fig1_index.neighbor_order.toPandas())
 
 
-def test_saved_index_derives_core_order(sbm_small_index, tmp_path, spark):
-    """A saved index holds NO and its metadata only; after loading, CO
-    (a view of NO) and query results equal the built index's."""
+def test_saved_index_derives_core_order(sbm_small, sbm_small_index, tmp_path, spark):
+    """A saved index holds its metadata and one similarity row per edge
+    (u < v) only; after loading, CO (a view of NO) and query results
+    equal the built index's."""
     path = tmp_path / "idx"
     sbm_small_index.save(str(path))
-    assert sorted(p.name for p in path.iterdir()) == ["meta.json", "neighbor_order"]
+    assert sorted(p.name for p in path.iterdir()) == ["meta.json", "similarities"]
+    stored = spark.read.parquet(str(path / "similarities")).toPandas()
+    assert len(stored) == sbm_small.num_edges()
+    assert (stored["u"] < stored["v"]).all()
     loaded = SCANIndex.load(spark, str(path))
 
     def co(idx):
@@ -111,45 +124,83 @@ def test_saved_index_derives_core_order(sbm_small_index, tmp_path, spark):
         assert got == query_clusters(sbm_small_index, mu, eps).labels_pandas()
 
 
-def _tamper(no, how: str):
-    """A copy of fig1's NO rows (u, v, sim, rank) broken one way."""
-    no = no.copy()
-    last5 = (no["u"] == 5) & (no["rank"] == no.loc[no["u"] == 5, "rank"].max())
+def _tamper(spark, path, how: str) -> None:
+    """Break fig1's saved artifact at ``path`` one way."""
+    with open(path / "meta.json") as f:
+        meta = json.load(f)
+    edges = spark.read.parquet(str(path / "similarities")).toPandas()
     if how == "id_out_of_range":
-        no.loc[no.index[0], "v"] = 99
-    elif how == "rank_gap":
-        no.loc[last5, "rank"] += 1
-    elif how == "rising_sim":
-        no.loc[(no["u"] == 4) & (no["rank"] == 2), "sim"] = 0.0
-    elif how == "asymmetric_sim":
-        no.loc[last5, "sim"] -= 1e-12
+        edges.loc[0, "v"] = 99
+    elif how == "duplicate_pair":
+        edges = pd.concat([edges, edges[:1].assign(sim=0.5)], ignore_index=True)
+        meta["num_edges"] += 1
     elif how == "dropped_row":
-        no = no[~last5]
-    return no
+        edges = edges[1:]
+    elif how == "nan_sim":
+        edges.loc[0, "sim"] = float("nan")
+    elif how == "wrong_format":
+        meta["format"] = 1
+    with open(path / "meta.json", "w") as f:
+        json.dump(meta, f)
+    spark.createDataFrame(edges, EDGE_SCHEMA).write.mode("overwrite").parquet(
+        str(path / "similarities")
+    )
 
 
 @pytest.mark.parametrize(
     "how, message",
     [
         ("id_out_of_range", "vertex ids outside 1..11"),
-        ("rank_gap", "ranks do not run over exactly 2..deg"),
-        ("rising_sim", "similarity increases"),
-        ("asymmetric_sim", "no \\(v, u\\) row with the same similarity"),
-        ("dropped_row", "no \\(v, u\\) row with the same similarity"),
+        ("duplicate_pair", "a \\(u, v\\) pair is listed twice"),
+        ("dropped_row", "12 rows, but num_edges is 13"),
+        ("nan_sim", "a similarity is not finite"),
+        ("wrong_format", "format 1, not 2"),
     ],
 )
 def test_load_rejects_a_tampered_neighbor_order(fig1_index, tmp_path, spark, how, message):
-    """load() validates the stored NO before it can answer a query: a
-    corrupt or mismatched artifact raises instead."""
+    """load() validates the stored similarity rows before they can
+    answer a query: a corrupt, mismatched or old-format artifact
+    raises instead."""
     path = tmp_path / "idx"
     fig1_index.save(str(path))
-    no = _tamper(fig1_index.neighbor_order.toPandas(), how)
-    schema = fig1_index.neighbor_order.schema
-    spark.createDataFrame(no, schema).write.mode("overwrite").parquet(
-        str(path / "neighbor_order")
-    )
+    _tamper(spark, path, how)
     with pytest.raises(ValueError, match=message):
         SCANIndex.load(spark, str(path))
+
+
+def test_failed_save_keeps_the_earlier_artifact(
+    fig1_index, sbm_small_index, tmp_path, spark, monkeypatch
+):
+    """save() writes aside and moves the artifact into place: a save
+    that fails during the Parquet write leaves the earlier artifact
+    loadable and nothing else behind, and a save that succeeds
+    replaces it."""
+    path = tmp_path / "idx"
+    sbm_small_index.save(str(path))
+    write = DataFrameWriter.parquet
+
+    def write_then_fail(self, *args, **kwargs):
+        write(self, *args, **kwargs)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(DataFrameWriter, "parquet", write_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        fig1_index.save(str(path))
+    assert [p.name for p in tmp_path.iterdir()] == ["idx"]
+    assert SCANIndex.load(spark, str(path)).arrays.rows().equals(sbm_small_index.arrays.rows())
+    monkeypatch.undo()
+    fig1_index.save(str(path))
+    assert [p.name for p in tmp_path.iterdir()] == ["idx"]
+    assert SCANIndex.load(spark, str(path)).arrays.rows().equals(fig1_index.arrays.rows())
+
+
+def test_save_refuses_to_replace_a_directory_that_is_not_an_index(fig1_index, tmp_path):
+    """Moving the artifact into place replaces what is at the path, so
+    save() raises, and writes nothing, over a directory of other files."""
+    (tmp_path / "notes.txt").write_text("keep me")
+    with pytest.raises(FileExistsError, match="is not a saved index"):
+        fig1_index.save(str(tmp_path))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["notes.txt"]
 
 
 def test_persisted_index_plan_is_a_scan_of_stored_rows(sbm_small_index):
@@ -239,8 +290,6 @@ def test_approx_edge_similarities_leaves_only_its_result_stored(spark, dense_sma
 
 
 def test_build_with_given_similarities(fig1, spark):
-    import pandas as pd
-
     sims = pd.DataFrame(
         {"u": [1, 1], "v": [2, 3], "sim": [0.9, 0.1]}
     )
@@ -249,6 +298,26 @@ def test_build_with_given_similarities(fig1, spark):
     assert len(no) == 4  # 2 edges, both directions
     r1 = no[no["u"] == 1].sort_values("rank")
     assert r1["v"].tolist() == [2, 3]  # ordered by given sims, not graph
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([(1, 2, 0.9), (1, 2, 0.5), (2, 3, 0.7)], "a \\(u, v\\) pair is listed twice"),
+        ([(1, 2, 0.9), (1, 9, 0.5)], "vertex ids outside 1..3"),
+        ([(1, 2, 0.9), (3, 2, 0.5)], "a row has u >= v"),
+        ([(1, 2, 0.9), (2, 3, float("nan"))], "a similarity is not finite"),
+    ],
+    ids=["duplicate_pair", "id_out_of_range", "u_not_below_v", "nan_sim"],
+)
+def test_from_similarities_rejects_rows_that_are_not_edges(spark, rows, message):
+    """Given similarities take the checks a loaded artifact takes: a
+    pair listed twice or an id outside 1..n would otherwise change NO
+    (a duplicate pair lists its neighbor twice and raises the closed
+    degree), so they raise."""
+    sims = pd.DataFrame(rows, columns=["u", "v", "sim"])
+    with pytest.raises(ValueError, match=message):
+        SCANIndex.from_similarities(spark, sims, 3, "cosine")
 
 
 @pytest.mark.parametrize("fixture", ["fig1", "sbm_small", *ADVERSARIAL])
