@@ -4,8 +4,8 @@ Usage: spark-submit jobs/query_clusters.py <index_dir> <mu> <eps>
 
 Prints the size of each cluster, largest first. Telling hubs from
 outliers needs the graph, which the saved index does not hold, so this
-job reports the clustering only. Only the load reads Spark: the query
-and the counts run on the driver.
+job reports the clustering only. The load, the query and the counts
+all run on the driver, with no Spark job.
 """
 import sys
 

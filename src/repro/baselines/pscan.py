@@ -32,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from repro.core.query import ClusteringResult, assemble_from_edges
+from repro.core.query import ClusteringResult, assemble_from_edges, check_query
 from repro.core.similarity import exact_rows
 from repro.graph.graphframe import UndirectedGraph
 from repro.graph.triangles import collect_csr
@@ -58,8 +58,7 @@ def pscan_query(
     measure: str = "cosine",
 ) -> ClusteringResult:
     """One SCAN clustering computed from scratch with pruning."""
-    if mu < 2:
-        raise ValueError("SCAN requires mu >= 2")
+    check_query(mu, eps)
     if measure not in MEASURES:
         raise ValueError(f"pscan baseline supports {MEASURES} only, got {measure!r}")
     csr = collect_csr(g)

@@ -3,7 +3,7 @@
 - :mod:`repro.core.similarity` — exact per-edge structural similarity
   (cosine / Jaccard / weighted cosine) via neighbor-list intersection.
 - :mod:`repro.core.index` — the GS*-Index structures (neighbor order,
-  core order) built in parallel; Parquet persistence.
+  core order) built in parallel; saved and loaded with numpy.
 - :mod:`repro.core.arrays` — the index's sorted NO/CO arrays on the
   driver, which queries search.
 - :mod:`repro.core.query` — cluster retrieval for arbitrary (mu, eps).

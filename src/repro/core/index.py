@@ -24,11 +24,11 @@ checks and ranks them into sorted arrays (:mod:`repro.core.arrays`),
 which answer every query without a Spark job. A built, given or loaded
 index is made by that one function. ``neighbor_order`` is a DataFrame
 made from the arrays on first use; queries never read it. The index
-saves as its m similarity rows (u < v) and a small metadata file,
-written aside and moved into place. Construction (expensive) is paid
-once and queries (cheap) are paid per (mu, eps) — the paper's whole
-point. :func:`neighbor_order_from_similarities` is the same ranking as
-a frame, for callers that hold similarities as a frame.
+saves with numpy, on the driver, as its m similarity rows (u < v) and
+a small metadata file, written aside and moved into place. Construction
+(expensive) is paid once and queries (cheap) are paid per (mu, eps) —
+the paper's whole point. :func:`neighbor_order_from_similarities` is
+the same ranking as a frame, for callers that hold similarities as one.
 """
 from __future__ import annotations
 
@@ -50,11 +50,12 @@ from repro.graph.triangles import collect_csr
 
 #: Schema of the NO rows.
 NO_SCHEMA = "u long, v long, sim double, rank int"
-#: Schema of the stored similarity rows, one per edge with u < v.
-EDGE_SCHEMA = "u long, v long, sim double"
-#: Version of the saved layout: meta.json plus the similarity rows.
-#: The earlier layout, 2m NO rows with no version, is refused on load.
-FORMAT = 2
+#: Version of the saved layout: meta.json (META_FIELDS) plus the arrays
+#: of similarities.npz (SAVED_ARRAYS), the m rows with u < v. Earlier
+#: layouts, Spark-written rows, are refused on load.
+FORMAT = 3
+META_FIELDS = {"format": int, "num_vertices": int, "num_edges": int, "measure": str}
+SAVED_ARRAYS = {"u": "int64", "v": "int64", "sim": "float64"}
 
 
 @dataclass
@@ -68,13 +69,12 @@ class SCANIndex:
     # or loaded index makes it from its arrays on first use.
     _neighbor_order: DataFrame | None = field(default=None, init=False, repr=False, compare=False)
     # The driver's sorted copy of NO and CO that queries read; made by
-    # the build and by load(), dropped by unpersist().
+    # from_similarities(), dropped by unpersist().
     _arrays: IndexArrays | None = field(default=None, init=False, repr=False, compare=False)
-    _released: bool = field(default=False, init=False, repr=False, compare=False)
 
     @staticmethod
     def from_similarities(
-        spark: SparkSession, edges: pd.DataFrame, num_vertices: int, measure: str
+        spark: SparkSession, edges: pd.DataFrame | dict, num_vertices: int, measure: str
     ) -> "SCANIndex":
         """The index of one similarity per edge, ``edges`` (u, v, sim)
         with u < v, ranked on the driver; raises ValueError for rows that
@@ -87,11 +87,8 @@ class SCANIndex:
 
     @property
     def neighbor_order(self) -> DataFrame:
-        """NO: (u, v, sim, rank) — rank >= 2, self implicit.
-
-        A built or loaded index makes this frame from its arrays on first
-        use.
-        """
+        """NO: (u, v, sim, rank) — rank >= 2, self implicit — as a frame
+        made from the arrays on first use."""
         if self._neighbor_order is None:
             self._neighbor_order = _no_frame(self.spark, self.arrays)
         return self._neighbor_order
@@ -107,11 +104,9 @@ class SCANIndex:
 
     @property
     def arrays(self) -> IndexArrays:
-        """The driver's sorted NO and CO, which queries read; the build
-        and load() make them. Raises IndexReleasedError after
-        unpersist().
-        """
-        if self._released:
+        """The driver's sorted NO and CO, which queries read; made by
+        from_similarities(). Raises IndexReleasedError after unpersist()."""
+        if self._arrays is None:
             raise IndexReleasedError(
                 "this SCAN index was released by unpersist(); build or load it again"
             )
@@ -127,16 +122,16 @@ class SCANIndex:
         return self
 
     def unpersist(self) -> None:
-        """Drop the driver's arrays; later queries on this index raise
-        IndexReleasedError."""
+        """Drop the driver's arrays and the NO frame; later queries and
+        reads of NO or CO on this index raise IndexReleasedError."""
         self._arrays = None
-        self._released = True
+        self._neighbor_order = None
 
     # -- filesystem persistence (the "index" artifact) ----------------
 
     def save(self, path: str) -> None:
-        """Write the index to the directory ``path``: ``meta.json`` and
-        the m similarity rows (u, v, sim) with u < v.
+        """Write the index to the directory ``path``, with no Spark job:
+        ``meta.json`` and the m similarity rows (u, v, sim), u < v.
 
         The artifact is written into a temporary sibling directory and
         then moved to ``path``, so a save that fails partway leaves what
@@ -149,19 +144,16 @@ class SCANIndex:
             if not os.path.isdir(path) or os.listdir(path):
                 raise FileExistsError(f"{path} is not a saved index; not replacing it")
         rows = self.arrays.rows()
-        rows = rows.loc[rows["u"] < rows["v"], ["u", "v", "sim"]]
-        meta = {
-            "format": FORMAT,
-            "num_vertices": self.num_vertices,
-            "num_edges": len(rows),
-            "measure": self.measure,
-        }
+        rows = rows[rows["u"] < rows["v"]]
+        meta = {"format": FORMAT, "num_vertices": self.num_vertices,
+                "num_edges": len(rows), "measure": self.measure}
         parent = os.path.dirname(path)
         os.makedirs(parent, exist_ok=True)
         tmp = tempfile.mkdtemp(prefix=f".{os.path.basename(path)}.", dir=parent)
         try:
-            self.spark.createDataFrame(rows, EDGE_SCHEMA).write.parquet(
-                os.path.join(tmp, "similarities")
+            np.savez_compressed(
+                os.path.join(tmp, "similarities.npz"),
+                **{name: rows[name].to_numpy(dtype) for name, dtype in SAVED_ARRAYS.items()},
             )
             with open(os.path.join(tmp, "meta.json"), "w") as f:
                 json.dump(meta, f)
@@ -176,20 +168,28 @@ class SCANIndex:
 
     @staticmethod
     def load(spark: SparkSession, path: str) -> "SCANIndex":
-        """Read a saved index and build its driver arrays.
+        """Read a saved index and build its driver arrays, with no Spark job.
 
-        Raises ValueError for another format, a row count other than the
-        saved ``num_edges``, or rows that :meth:`IndexArrays.from_similarities`
+        Raises ValueError naming ``path`` for another format, a missing
+        or mistyped meta field, arrays other than those saved (an object
+        array is refused, never unpickled), a row count other than
+        ``num_edges``, or rows that :meth:`IndexArrays.from_similarities`
         rejects, so a corrupt or mismatched artifact never answers a query.
         """
-        with open(os.path.join(path, "meta.json")) as f:
-            meta = json.load(f)
-        if meta.get("format") != FORMAT:
-            raise ValueError(f"index at {path}: format {meta.get('format')!r}, not {FORMAT}")
-        edges = spark.read.parquet(os.path.join(path, "similarities")).toPandas()
         try:
-            if len(edges) != meta["num_edges"]:
-                raise ValueError(f"{len(edges)} rows, but num_edges is {meta['num_edges']}")
+            with open(os.path.join(path, "meta.json")) as f:
+                meta = json.load(f)
+            if meta.get("format") != FORMAT:
+                raise ValueError(f"format {meta.get('format')!r}, not {FORMAT}")
+            for name, kind in META_FIELDS.items():
+                if type(meta.get(name)) is not kind:
+                    raise ValueError(f"meta.json {name} is {meta.get(name)!r}, not {kind.__name__}")
+            with np.load(os.path.join(path, "similarities.npz"), allow_pickle=False) as z:
+                edges = {name: z[name] for name in z.files}
+            got = {name: (str(a.dtype), a.shape) for name, a in edges.items()}
+            want = {name: (t, (meta["num_edges"],)) for name, t in SAVED_ARRAYS.items()}
+            if got != want:
+                raise ValueError(f"arrays {got}, not {want} (num_edges rows each)")
             return SCANIndex.from_similarities(
                 spark, edges, meta["num_vertices"], meta["measure"]
             )

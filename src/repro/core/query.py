@@ -73,7 +73,7 @@ def get_cores(index: SCANIndex, mu: int, eps: float) -> DataFrame:
     mu counts the vertex itself (eps-neighborhoods are closed), so
     mu=2 means "at least one eps-similar neighbor".
     """
-    _check_mu(mu)
+    check_query(mu, eps)
     cores = index.arrays.cores(mu, eps)
     return index.spark.createDataFrame(pd.DataFrame({"v": cores}), "v long")
 
@@ -86,6 +86,7 @@ def similar_edges_from_cores(
     gathered from the index's driver arrays. Excludes the implicit self
     entry; a core listed twice contributes its rows once.
     """
+    check_query(None, eps)
     ids = np.unique(cores.select("v").toPandas()["v"].to_numpy(np.int64))
     u, v, sim = index.arrays.eps_edges(ids, eps)
     return index.spark.createDataFrame(
@@ -153,12 +154,14 @@ def assemble_clustering(
 def query_clusters(index: SCANIndex, mu: int, eps: float) -> ClusteringResult:
     """Retrieve the SCAN clustering for (mu, eps) (Algorithm 5) from the
     index's driver arrays: no Spark job."""
-    _check_mu(mu)
+    check_query(mu, eps)
     arrays = index.arrays
     u, v, sim = arrays.eps_edges(arrays.cores(mu, eps), eps)
     return assemble_from_edges(u, v, sim, mu, eps, index.spark)
 
 
-def _check_mu(mu: int) -> None:
-    if mu < 2:
-        raise ValueError("SCAN requires mu >= 2")
+def check_query(mu: int | None, eps: float) -> None:
+    """Raise ValueError unless mu (None where a step takes none) is an
+    integer >= 2, a numpy integer too, and eps is not NaN."""
+    if (mu is not None and not (isinstance(mu, (int, np.integer)) and mu >= 2)) or np.isnan(eps):
+        raise ValueError(f"SCAN requires an integer mu >= 2 and eps not NaN; got {mu!r}, {eps!r}")

@@ -17,13 +17,6 @@ from repro.experiments import datasets
 from repro.experiments.harness import timed
 
 
-def build_index_timed(g, measure: str):
-    """(index, seconds) — construction ends when NO is ranked and held
-    as arrays on the driver, matching the paper's definition of
-    construction finishing with the index resident in memory."""
-    return timed(lambda: build_index(g, measure).persist())
-
-
 def run(spark: SparkSession, dataset_names: list[str] | None = None) -> list[dict]:
     names = dataset_names or list(datasets.REGISTRY)
     rows = []
@@ -34,7 +27,9 @@ def run(spark: SparkSession, dataset_names: list[str] | None = None) -> list[dic
         _, t_seq = timed(
             lambda: SequentialGSIndex(pdf, g.num_vertices, measure).build()
         )
-        idx, t_par = build_index_timed(g, measure)
+        # Construction ends with the index resident in memory (NO and
+        # CO as arrays on the driver), as the paper defines it.
+        idx, t_par = timed(lambda: build_index(g, measure).persist())
         rows.append(
             {
                 "dataset": name,

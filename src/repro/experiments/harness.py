@@ -64,10 +64,10 @@ def git_sha() -> str:
     return sha + ("-dirty" if dirty else "")
 
 
-def record_run(spark: SparkSession, key: str, rows: list[dict], path: Path = RESULTS) -> dict:
+def record_run(spark: SparkSession, key: str, rows: list[dict], path: Path | None = None) -> dict:
     """Store ``rows`` as one run under ``key`` of the JSON file at
-    ``path``, with the git SHA, the cores of ``spark`` and its shuffle
-    partitions.
+    ``path`` (default: RESULTS, read at the call), with the git SHA, the
+    cores of ``spark`` and its shuffle partitions.
 
     Runs of the same code and settings accumulate in ``runs``; a run
     of other code or settings replaces them. Returns the stored entry.
@@ -77,6 +77,7 @@ def record_run(spark: SparkSession, key: str, rows: list[dict], path: Path = RES
         "cores": spark.sparkContext.defaultParallelism,
         "shuffle_partitions": int(spark.conf.get("spark.sql.shuffle.partitions")),
     }
+    path = path or RESULTS
     data = json.loads(path.read_text()) if path.exists() else {}
     old = data.get(key)
     same = isinstance(old, dict) and all(old.get(f) == v for f, v in entry.items())

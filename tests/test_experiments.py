@@ -217,3 +217,20 @@ def test_build_and_query_entrypoints(spark, mini_registry, tmp_path, monkeypatch
     sizes = sorted(expect.groupby("cluster").size(), reverse=True)
     assert sizes
     assert [int(line.split()[1]) for line in table.splitlines()[1:]] == sizes[:50]
+
+
+def test_figure_job_records_its_rows(spark, mini_registry, tmp_path, monkeypatch, capsys):
+    """jobs/run_fig5_index_construction.py, run from its command line,
+    prints its rows and records them as one run under ``fig5`` of the
+    file ``harness.RESULTS`` names when it is called; the recorded
+    results file stays as it was."""
+    results = harness.RESULTS.read_bytes()
+    out = tmp_path / "experiments.json"
+    monkeypatch.setattr(harness, "RESULTS", out)
+    monkeypatch.setattr(sys, "argv", ["run_fig5_index_construction.py", "tiny_u"])
+    runpy.run_path(str(harness.ROOT / "jobs" / sys.argv[0]), run_name="__main__")
+    entry = json.loads(out.read_text())["fig5"]
+    [rows] = entry["runs"]
+    assert [r["dataset"] for r in rows] == ["tiny_u"]
+    assert f"recorded run 1 of {entry['git_sha']} under fig5" in capsys.readouterr().out
+    assert (harness.ROOT / "results" / "experiments.json").read_bytes() == results

@@ -1,14 +1,15 @@
 """Neighbor-order / core-order construction and persistence."""
 import dataclasses
 import json
+import re
 
+import numpy as np
 import pandas as pd
 import pytest
-from pyspark.sql import DataFrameWriter
 
 from repro.baselines.gs_index_seq import SequentialGSIndex
 from repro.core.approx import approx_edge_similarities, build_approx_index
-from repro.core.index import EDGE_SCHEMA, IndexReleasedError, SCANIndex, build_index
+from repro.core.index import IndexReleasedError, SCANIndex, build_index
 from repro.core.query import get_cores, query_clusters, similar_edges_from_cores
 from repro.oracle import assert_equivalent
 from tests.conftest import ADVERSARIAL
@@ -108,9 +109,11 @@ def test_saved_index_derives_core_order(sbm_small, sbm_small_index, tmp_path, sp
     equal the built index's."""
     path = tmp_path / "idx"
     sbm_small_index.save(str(path))
-    assert sorted(p.name for p in path.iterdir()) == ["meta.json", "similarities"]
-    stored = spark.read.parquet(str(path / "similarities")).toPandas()
-    assert len(stored) == sbm_small.num_edges()
+    assert sorted(p.name for p in path.iterdir()) == ["meta.json", "similarities.npz"]
+    with np.load(path / "similarities.npz", allow_pickle=False) as z:
+        stored = {name: z[name] for name in z.files}
+    assert sorted(stored) == ["sim", "u", "v"]
+    assert len(stored["u"]) == sbm_small.num_edges()
     assert (stored["u"] < stored["v"]).all()
     loaded = SCANIndex.load(spark, str(path))
 
@@ -124,47 +127,83 @@ def test_saved_index_derives_core_order(sbm_small, sbm_small_index, tmp_path, sp
         assert got == query_clusters(sbm_small_index, mu, eps).labels_pandas()
 
 
-def _tamper(spark, path, how: str) -> None:
+class _Trap:
+    """Pickles to a call of :func:`_sprung`: an array of these runs it
+    when it is unpickled."""
+
+    def __reduce__(self):
+        return _sprung, ()
+
+
+def _sprung():
+    raise AssertionError("load() unpickled a saved array")
+
+
+def _tamper(path, how: str) -> None:
     """Break fig1's saved artifact at ``path`` one way."""
-    with open(path / "meta.json") as f:
-        meta = json.load(f)
-    edges = spark.read.parquet(str(path / "similarities")).toPandas()
+    meta = json.loads((path / "meta.json").read_text())
+    npz = path / "similarities.npz"
+    with np.load(npz, allow_pickle=False) as z:
+        edges = {name: z[name] for name in z.files}
     if how == "id_out_of_range":
-        edges.loc[0, "v"] = 99
+        edges["v"][0] = 99
     elif how == "duplicate_pair":
-        edges = pd.concat([edges, edges[:1].assign(sim=0.5)], ignore_index=True)
+        edges = {name: np.r_[a, a[:1]] for name, a in edges.items()}
+        edges["sim"][-1] = 0.5
         meta["num_edges"] += 1
     elif how == "dropped_row":
-        edges = edges[1:]
+        edges = {name: a[1:] for name, a in edges.items()}
     elif how == "nan_sim":
-        edges.loc[0, "sim"] = float("nan")
-    elif how == "wrong_format":
-        meta["format"] = 1
-    with open(path / "meta.json", "w") as f:
-        json.dump(meta, f)
-    spark.createDataFrame(edges, EDGE_SCHEMA).write.mode("overwrite").parquet(
-        str(path / "similarities")
-    )
+        edges["sim"][0] = np.nan
+    elif how == "missing_array":
+        del edges["sim"]
+    elif how == "extra_array":
+        edges["rank"] = np.arange(len(edges["u"]))
+    elif how == "float_ids":
+        edges["u"] = edges["u"].astype(np.float64)
+    elif how == "object_array":
+        edges["u"] = np.array([_Trap()] * len(edges["u"]), dtype=object)
+    elif how == "missing_field":
+        del meta["num_vertices"]
+    elif how == "float_field":
+        meta["num_edges"] = float(meta["num_edges"])
+    elif how == "format_2":
+        # The Spark-written layout: one Parquet dataset of (u, v, sim).
+        meta["format"] = 2
+        (path / "similarities").mkdir()
+        pd.DataFrame(edges).to_parquet(path / "similarities" / "part-00000.parquet")
+        npz.unlink()
+    (path / "meta.json").write_text(json.dumps(meta))
+    if npz.exists():
+        np.savez_compressed(npz, **edges)
 
 
-@pytest.mark.parametrize(
-    "how, message",
-    [
-        ("id_out_of_range", "vertex ids outside 1..11"),
-        ("duplicate_pair", "a \\(u, v\\) pair is listed twice"),
-        ("dropped_row", "12 rows, but num_edges is 13"),
-        ("nan_sim", "a similarity is not finite"),
-        ("wrong_format", "format 1, not 2"),
-    ],
-)
+#: Ways to break a saved artifact, each with what load() says of it.
+TAMPERED = [
+    ("id_out_of_range", "vertex ids outside 1..11"),
+    ("duplicate_pair", "a \\(u, v\\) pair is listed twice"),
+    ("dropped_row", "'u': \\('int64', \\(12,\\)\\)"),
+    ("nan_sim", "a similarity is not finite"),
+    ("missing_array", "arrays \\{'u': \\('int64', \\(13,\\)\\), 'v': \\('int64', \\(13,\\)\\)\\}, not"),
+    ("extra_array", "'rank': \\('int64'"),
+    ("float_ids", "'u': \\('float64', \\(13,\\)\\)"),
+    ("object_array", "[Oo]bject arrays cannot be loaded"),
+    ("missing_field", "meta.json num_vertices is None, not int"),
+    ("float_field", "meta.json num_edges is 13.0, not int"),
+    ("format_2", "format 2, not 3"),
+]
+
+
+@pytest.mark.parametrize("how, message", TAMPERED)
 def test_load_rejects_a_tampered_neighbor_order(fig1_index, tmp_path, spark, how, message):
-    """load() validates the stored similarity rows before they can
-    answer a query: a corrupt, mismatched or old-format artifact
-    raises instead."""
+    """load() validates the saved artifact before it can answer a
+    query: a corrupt, mismatched or old-format artifact raises a
+    ValueError that names its path, and an object array is refused
+    without being unpickled."""
     path = tmp_path / "idx"
     fig1_index.save(str(path))
-    _tamper(spark, path, how)
-    with pytest.raises(ValueError, match=message):
+    _tamper(path, how)
+    with pytest.raises(ValueError, match=f"index at {re.escape(str(path))}: .*{message}"):
         SCANIndex.load(spark, str(path))
 
 
@@ -172,18 +211,18 @@ def test_failed_save_keeps_the_earlier_artifact(
     fig1_index, sbm_small_index, tmp_path, spark, monkeypatch
 ):
     """save() writes aside and moves the artifact into place: a save
-    that fails during the Parquet write leaves the earlier artifact
+    that fails during the array write leaves the earlier artifact
     loadable and nothing else behind, and a save that succeeds
     replaces it."""
     path = tmp_path / "idx"
     sbm_small_index.save(str(path))
-    write = DataFrameWriter.parquet
+    write = np.savez_compressed
 
-    def write_then_fail(self, *args, **kwargs):
-        write(self, *args, **kwargs)
+    def write_then_fail(*args, **kwargs):
+        write(*args, **kwargs)
         raise OSError("disk full")
 
-    monkeypatch.setattr(DataFrameWriter, "parquet", write_then_fail)
+    monkeypatch.setattr(np, "savez_compressed", write_then_fail)
     with pytest.raises(OSError, match="disk full"):
         fig1_index.save(str(path))
     assert [p.name for p in tmp_path.iterdir()] == ["idx"]
@@ -192,6 +231,48 @@ def test_failed_save_keeps_the_earlier_artifact(
     fig1_index.save(str(path))
     assert [p.name for p in tmp_path.iterdir()] == ["idx"]
     assert SCANIndex.load(spark, str(path)).arrays.rows().equals(fig1_index.arrays.rows())
+
+
+def test_save_into_an_existing_empty_directory(fig1_index, tmp_path, spark):
+    """An empty directory made beforehand (as the benchmark makes one)
+    takes the artifact, and nothing else is left beside it."""
+    path = tmp_path / "idx"
+    path.mkdir()
+    fig1_index.save(str(path))
+    assert [p.name for p in tmp_path.iterdir()] == ["idx"]
+    assert sorted(p.name for p in path.iterdir()) == ["meta.json", "similarities.npz"]
+    assert SCANIndex.load(spark, str(path)).arrays.rows().equals(fig1_index.arrays.rows())
+
+
+def test_save_and_load_run_no_spark_job(spark, sbm_small_index, tmp_path):
+    """The artifact is written and read on the driver with numpy."""
+    sc = spark.sparkContext
+    sc.setJobGroup("test_save_and_load_run_no_spark_job", "save and load")
+    try:
+        sbm_small_index.save(str(tmp_path / "idx"))
+        loaded = SCANIndex.load(spark, str(tmp_path / "idx"))
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    assert loaded.arrays.rows().equals(sbm_small_index.arrays.rows())
+    assert sc.statusTracker().getJobIdsForGroup("test_save_and_load_run_no_spark_job") == []
+
+
+@pytest.mark.parametrize("kind", ["exact", "simhash"])
+@pytest.mark.parametrize("fixture", ["fig1", "sbm_small", "weighted_small", *ADVERSARIAL])
+def test_loaded_arrays_equal_the_built_ones(fixture, kind, request, tmp_path, spark):
+    """Every array of a loaded index equals the built index's byte for
+    byte, for an exact and a SimHash build, the edgeless graph too."""
+    g = request.getfixturevalue(fixture)
+    if kind == "exact":
+        idx = build_index(g, "cosine")
+    else:
+        idx = build_approx_index(g, 4, "cosine", seed=1)[0]
+    idx.save(str(tmp_path / "idx"))
+    loaded = SCANIndex.load(spark, str(tmp_path / "idx"))
+    assert (loaded.num_vertices, loaded.measure) == (g.num_vertices, "cosine")
+    for f in dataclasses.fields(idx.arrays):
+        built, got = getattr(idx.arrays, f.name), getattr(loaded.arrays, f.name)
+        assert (got.dtype, got.shape, got.tobytes()) == (built.dtype, built.shape, built.tobytes()), f.name
 
 
 def test_save_refuses_to_replace_a_directory_that_is_not_an_index(fig1_index, tmp_path):
@@ -262,6 +343,18 @@ def test_unpersist_frees_everything_the_build_cached(spark, sbm_small, kind):
         get_cores(idx, 3, 0.5)
     with pytest.raises(IndexReleasedError, match="released by unpersist"):
         similar_edges_from_cores(idx, spark.createDataFrame([(1,)], "v long"), 0.5)
+
+
+def test_unpersist_drops_the_neighbor_order_frame(fig1):
+    """A NO frame made before unpersist() goes with the arrays: NO and
+    CO then raise like every other read of a released index."""
+    idx = build_index(fig1, "cosine")
+    assert idx.neighbor_order.count() == 2 * fig1.num_edges()
+    idx.unpersist()
+    with pytest.raises(IndexReleasedError, match="released by unpersist"):
+        idx.neighbor_order
+    with pytest.raises(IndexReleasedError, match="released by unpersist"):
+        idx.core_order
 
 
 @pytest.mark.parametrize("kind", ["exact", "approx"])

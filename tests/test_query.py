@@ -7,6 +7,7 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.baselines.gs_index_seq import SequentialGSIndex
+from repro.baselines.pscan import pscan_query
 from repro.core.index import SCANIndex, build_index
 from repro.core.query import get_cores, query_clusters, similar_edges_from_cores
 from repro.graph.graphframe import UndirectedGraph
@@ -61,6 +62,51 @@ def test_mu_below_two_raises(fig1_index):
         query_clusters(fig1_index, 1, 0.5)
 
 
+#: Each engine's query, called as (index, graph, mu, eps); the eps-edge
+#: step takes no mu.
+ENGINES = {
+    "query_clusters": lambda idx, g, mu, eps: query_clusters(idx, mu, eps),
+    "get_cores": lambda idx, g, mu, eps: get_cores(idx, mu, eps),
+    "similar_edges_from_cores": lambda idx, g, mu, eps: similar_edges_from_cores(
+        idx, get_cores(idx, 3, 0.5), eps
+    ),
+    "pscan_query": lambda idx, g, mu, eps: pscan_query(g, mu, eps),
+}
+
+
+#: Bad (mu, eps) pairs by name; the eps-edge step meets only the eps ones.
+BAD_PARAMS = {
+    "mu_fraction": (2.5, 0.5),
+    "mu_numpy_float": (np.float64(3.0), 0.5),
+    "mu_below_two": (1, 0.5),
+    "eps_nan": (3, float("nan")),
+}
+
+
+@pytest.mark.parametrize(
+    "engine, bad",
+    [
+        (engine, bad)
+        for engine in ENGINES
+        for bad in BAD_PARAMS
+        if engine != "similar_edges_from_cores" or bad.startswith("eps")
+    ],
+)
+def test_bad_query_parameters_raise(fig1, fig1_index, engine, bad):
+    """Every engine refuses a mu that is not an integer >= 2 and a NaN
+    eps with the same ValueError, instead of an IndexError, an answer
+    for a rounded mu or an empty clustering."""
+    mu, eps = BAD_PARAMS[bad]
+    with pytest.raises(ValueError, match="SCAN requires an integer mu >= 2 and eps not NaN"):
+        ENGINES[engine](fig1_index, fig1, mu, eps)
+
+
+def test_numpy_integer_mu_is_accepted(fig1, fig1_index):
+    expect = query_clusters(fig1_index, 3, 0.6).labels_pandas()
+    assert query_clusters(fig1_index, np.int64(3), 0.6).labels_pandas() == expect
+    assert pscan_query(fig1, np.int32(3), 0.6).labels_pandas() == expect
+
+
 def _seq_for(g, measure="cosine"):
     return SequentialGSIndex(g.to_pandas(), g.num_vertices, measure).build()
 
@@ -105,7 +151,7 @@ def test_adversarial_shapes_build_and_query(fixture, request, spark, tmp_path):
     """Stars, bridged cliques, isolated vertices and the empty graph:
     the persisted index has 2m NO rows, and every query equals the
     sequential GS*-Index, at the eps extremes too, before and after a
-    Parquet round trip."""
+    save/load round trip."""
     g = request.getfixturevalue(fixture)
     idx = build_index(g, "cosine").persist()
     try:
